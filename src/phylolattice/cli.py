@@ -31,7 +31,6 @@ from .mergegram import (
     LabeledMergegram,
     join_mergegram_of_treegrams,
     labeled_mergegram,
-    mergegram,
     ph0_elder,
 )
 from .metrics import bottleneck_distance, facegram_interleaving, linf_labeled_distance
@@ -96,30 +95,23 @@ def _load_gram(path: str) -> Gram:
     raise ValueError(f"{path}: cannot tell the input format from the suffix")
 
 
-def _load_labeled(path: str) -> LabeledMergegram:
+def _load_mergegram(path: str, labeled: bool = False):
+    """A mergegram or diagram document as stored, else the mergegram of the
+    gram the file holds; ``labeled`` keeps face labels and refuses
+    unlabeled documents."""
     if Path(path).suffix.lower() == ".json":
         text = _read(path)
         try:
             doc = formats.parse_mergegram_json(text)
         except ValueError:
-            return labeled_mergegram(formats.parse_gram_json(text))
-        if isinstance(doc, LabeledMergegram):
-            return doc
+            doc = labeled_mergegram(formats.parse_gram_json(text))
+    else:
+        doc = labeled_mergegram(_load_gram(path))
+    if isinstance(doc, LabeledMergegram):
+        return doc if labeled else doc.unlabeled()
+    if labeled:
         raise ValueError(f"{path}: not a labeled mergegram document")
-    return labeled_mergegram(_load_gram(path))
-
-
-def _load_mergegram(path: str):
-    if Path(path).suffix.lower() == ".json":
-        text = _read(path)
-        try:
-            doc = formats.parse_mergegram_json(text)
-        except ValueError:
-            return mergegram(formats.parse_gram_json(text))
-        if isinstance(doc, LabeledMergegram):
-            return doc.unlabeled()
-        return doc
-    return mergegram(_load_gram(path))
+    return doc
 
 
 def cmd_validate(args) -> int:
@@ -148,7 +140,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cliquegram(args) -> int:
     net = formats.parse_matrix_csv(_read(args.matrix))
-    g = cliquegram_from_network(net, merge_tol=args.merge_tol, jobs=args.jobs)
+    g = cliquegram_from_network(net, merge_tol=args.merge_tol)
     _write(args.output, formats.gram_json(g))
     return 0
 
@@ -181,7 +173,8 @@ def cmd_mergegram(args) -> int:
             slow = labeled_mergegram(
                 join_grams([treegram_from_ultranetwork(u) for u in ultras], "facegram")
             )
-            assert lm == slow, "fast tree join disagrees with the join route"
+            if lm != slow:
+                raise RuntimeError("fast tree join disagrees with the join route")
             log.debug("fast tree join verified against the join route")
     else:
         lm = labeled_mergegram(_load_gram(path))
@@ -212,7 +205,9 @@ def cmd_dist(args) -> int:
     if args.metric == "bottleneck":
         d = bottleneck_distance(_load_mergegram(args.a), _load_mergegram(args.b))
     elif args.metric == "linf":
-        d = linf_labeled_distance(_load_labeled(args.a), _load_labeled(args.b))
+        d = linf_labeled_distance(
+            _load_mergegram(args.a, labeled=True), _load_mergegram(args.b, labeled=True)
+        )
     else:
         d = facegram_interleaving(_load_gram(args.a), _load_gram(args.b))
     print(format(d, "g"))
@@ -278,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("cliquegram", help="maximal-clique sweep of a network matrix")
     q.add_argument("--matrix", required=True, help="distance matrix CSV")
     q.add_argument("--merge-tol", type=float, default=0.0, help="snap levels closer than this")
-    q.add_argument("--jobs", type=int, default=1)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_cliquegram)
 

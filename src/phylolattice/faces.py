@@ -230,15 +230,20 @@ def faceset_meet(a: FaceSet, b: FaceSet) -> FaceSet:
     return FaceSet(a.universe, maximal_masks(masks))
 
 
-def graph_from_cliqueset(c: FaceSet) -> Graph:
-    """Pairwise-cover graph: vertices in some face, edges jointly in some face."""
-    adj = [0] * len(c.universe)
+def cover_graph(universe: TaxaSet, masks: Iterable[int]) -> Graph:
+    """Pairwise-cover graph: vertices in some mask, edges jointly in some mask."""
+    adj = [0] * len(universe)
     vertices = 0
-    for f in c.faces:
+    for f in masks:
         vertices |= f
         for i in bits(f):
             adj[i] |= f & ~(1 << i)
-    return Graph(c.universe, vertices, adj)
+    return Graph(universe, vertices, adj)
+
+
+def graph_from_cliqueset(c: FaceSet) -> Graph:
+    """Pairwise-cover graph of a face-set (the inverse of the clique map)."""
+    return cover_graph(c.universe, c.faces)
 
 
 def cliqueset_from_graph(g: Graph) -> CliqueSet:
@@ -247,17 +252,7 @@ def cliqueset_from_graph(g: Graph) -> CliqueSet:
 
 def is_pair_cover_closed(f: FaceSet) -> bool:
     """True when ``f`` is exactly the maximal-clique family of its cover graph."""
-    return maximal_cliques(graph_from_cliqueset(f)) == f.faces
-
-
-def validate_cliqueset(f: FaceSet) -> bool:
-    """Check the clique-set condition on an antichain of faces.
-
-    A family fails when some subset has all its pairs (and singletons)
-    covered without being covered itself, e.g. three pairwise-overlapping
-    pairs whose union triple is missing.
-    """
-    return is_pair_cover_closed(f)
+    return maximal_cliques(cover_graph(f.universe, f.faces)) == f.faces
 
 
 def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:
@@ -267,14 +262,8 @@ def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:
     graphs; this can strictly exceed the face-set join of the same parts.
     """
     universe = _require_common_universe(parts)
-    adj = [0] * len(universe)
-    vertices = 0
-    for p in parts:
-        for f in p.faces:
-            vertices |= f
-            for i in bits(f):
-                adj[i] |= f & ~(1 << i)
-    return CliqueSet(universe, maximal_cliques(Graph(universe, vertices, adj)))
+    graph = cover_graph(universe, (f for p in parts for f in p.faces))
+    return CliqueSet(universe, maximal_cliques(graph))
 
 
 def is_subpartition(f: FaceSet) -> bool:

@@ -9,7 +9,6 @@ as a single face.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .faces import (
     FaceSet,
     Graph,
-    faceset_join,
+    cover_graph,
     faceset_leq,
     is_pair_cover_closed,
     is_subpartition,
@@ -31,19 +30,10 @@ from .filtrations import (
     VRFiltration,
     all_faces,
 )
-from .networks import PhyloNetwork, Ultranetwork, as_ultranetwork
+from .networks import PhyloNetwork, as_ultranetwork
 from .taxa import TaxaSet, bits
 
 KINDS = ("facegram", "cliquegram", "treegram")
-
-_EMPTY_CACHE: dict[TaxaSet, FaceSet] = {}
-
-
-def _empty_level(universe: TaxaSet) -> FaceSet:
-    fs = _EMPTY_CACHE.get(universe)
-    if fs is None:
-        fs = _EMPTY_CACHE[universe] = FaceSet(universe, ())
-    return fs
 
 
 class Gram:
@@ -123,7 +113,7 @@ class Gram:
         """Face-set at time ``t``; empty below the first critical value."""
         i = bisect.bisect_right(self.criticals, t) - 1
         if i < 0:
-            return _empty_level(self.universe)
+            return FaceSet(self.universe, ())
         return self.levels[i][1]
 
     def all_faces(self) -> tuple[int, ...]:
@@ -164,7 +154,7 @@ def _snap_matrix(matrix: np.ndarray, reps: list[float]) -> np.ndarray:
     return reps_arr[idx]
 
 
-def _adjacency_at(matrix: np.ndarray, eps: float) -> tuple[int, list[int]]:
+def _threshold_graph(universe: TaxaSet, matrix: np.ndarray, eps: float) -> Graph:
     n = matrix.shape[0]
     diag = np.diag(matrix)
     vertex_ok = diag <= eps
@@ -176,18 +166,28 @@ def _adjacency_at(matrix: np.ndarray, eps: float) -> tuple[int, list[int]]:
     adj = [0] * n
     for i, j in zip(*np.nonzero(close)):
         adj[int(i)] |= 1 << int(j)
-    return vertices, adj
+    return Graph(universe, vertices, adj)
 
 
-def _cliques_of_level(args) -> tuple[int, ...]:
-    universe, eps_matrix = args
-    vertices, adj = eps_matrix
-    return maximal_cliques(Graph(universe, vertices, adj))
+def _clique_levels(net: PhyloNetwork, merge_tol: float) -> list[tuple[float, FaceSet]]:
+    """Sweep the sub-level graphs of ``net``: one level per change of cliques."""
+    universe = net.universe
+    matrix = net.matrix
+    values = _coalesce(np.unique(matrix), merge_tol)
+    if merge_tol > 0:
+        matrix = _snap_matrix(matrix, values)
+    levels: list[tuple[float, FaceSet]] = []
+    for eps in values:
+        fs = FaceSet(universe, maximal_cliques(_threshold_graph(universe, matrix, eps)))
+        if fs.is_empty:
+            continue
+        if levels and levels[-1][1] == fs:
+            continue
+        levels.append((eps, fs))
+    return levels
 
 
-def cliquegram_from_network(
-    net: PhyloNetwork, merge_tol: float = 0.0, jobs: int = 1
-) -> Gram:
+def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
     """Maximal cliques of the sub-level graphs, one level per matrix value.
 
     At threshold eps the graph keeps taxa observed by eps and joins pairs
@@ -195,26 +195,7 @@ def cliquegram_from_network(
     matrix values before the sweep (each cluster is represented by its
     minimum); the default keeps every distinct value.
     """
-    universe = net.universe
-    matrix = net.matrix
-    values = _coalesce(np.unique(matrix), merge_tol)
-    if merge_tol > 0:
-        matrix = _snap_matrix(matrix, values)
-    graphs = [(universe, _adjacency_at(matrix, eps)) for eps in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cliques = list(pool.map(_cliques_of_level, graphs, chunksize=8))
-    else:
-        cliques = [_cliques_of_level(g) for g in graphs]
-    levels: list[tuple[float, FaceSet]] = []
-    for eps, masks in zip(values, cliques):
-        fs = FaceSet(universe, masks)
-        if fs.is_empty:
-            continue
-        if levels and levels[-1][1] == fs:
-            continue
-        levels.append((eps, fs))
-    return Gram(universe, levels, "cliquegram")
+    return Gram(net.universe, _clique_levels(net, merge_tol), "cliquegram")
 
 
 def network_from_cliquegram(g: Gram) -> PhyloNetwork:
@@ -235,7 +216,7 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
 def treegram_from_ultranetwork(u: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
     """Sub-level partitions of an ultranetwork (levels are equivalence classes)."""
     u = as_ultranetwork(u)
-    return cliquegram_from_network(u, merge_tol=merge_tol).with_kind("treegram")
+    return Gram(u.universe, _clique_levels(u, merge_tol), "treegram")
 
 
 def facegram_from_filtration(f: Filtration) -> Gram:
@@ -321,23 +302,13 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
         if mode == "facegram":
             fs = FaceSet(universe, maximal_masks(masks))
         else:
-            fs = _cliques_of_masks(universe, masks)
+            fs = FaceSet(universe, maximal_cliques(cover_graph(universe, masks)))
         if fs.is_empty:
             continue
         if levels and levels[-1][1] == fs:
             continue
         levels.append((t, fs))
     return Gram(universe, levels, mode if mode in KINDS else "facegram")
-
-
-def _cliques_of_masks(universe: TaxaSet, masks: Iterable[int]) -> FaceSet:
-    adj = [0] * len(universe)
-    vertices = 0
-    for m in masks:
-        vertices |= m
-        for i in bits(m):
-            adj[i] |= m & ~(1 << i)
-    return FaceSet(universe, maximal_cliques(Graph(universe, vertices, adj)))
 
 
 def squash_to_cliquegram(g: Gram) -> Gram:
@@ -348,7 +319,7 @@ def squash_to_cliquegram(g: Gram) -> Gram:
     """
     levels: list[tuple[float, FaceSet]] = []
     for t, fs in g.levels:
-        sq = _cliques_of_masks(g.universe, fs.faces)
+        sq = FaceSet(g.universe, maximal_cliques(cover_graph(g.universe, fs.faces)))
         if levels and levels[-1][1] == sq:
             continue
         levels.append((t, sq))

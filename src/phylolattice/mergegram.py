@@ -2,8 +2,8 @@
 
 The labeled mergegram records, for each face that is ever maximal in a
 gram, the half-open window during which it is maximal; forgetting labels
-gives the mergegram multiset.  Tree joins admit two direct computations
-that never materialize the joined gram.
+gives the mergegram multiset.  Tree joins admit a direct computation
+that never materializes the joined gram.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def labeled_mergegram(g: Gram) -> LabeledMergegram:
         for m in cur:
             if m not in births:
                 # a face may never be maximal again once absorbed
-                assert m not in entries, "face reappeared in the gram"
+                if m in entries:
+                    raise RuntimeError("face reappeared in the gram")
                 births[m] = t
         prev = cur
     for m, b in births.items():
@@ -208,23 +209,16 @@ def _tree_candidates(ultras: Sequence[PhyloNetwork]) -> list[int]:
     return sorted(faces, key=lambda m: (m.bit_count(), m))
 
 
-def join_mergegram_of_treegrams(
-    ultras: Sequence[PhyloNetwork], method: str = "matrix"
-) -> LabeledMergegram:
+def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergegram:
     """Labeled mergegram of the facegram join of treegrams, without the join.
 
     Candidate faces are those of the individual treegrams; the join adds
-    no others.  ``method="matrix"`` reads each face's window straight off
-    the stacked matrices: the birth is the smallest diameter over the
-    trees, and the death is the smallest over trees and outside taxa of
-    the worst coalescence time into the face (the strong triangle
-    inequality makes that the exact covering time of every one-element
-    extension).  ``method="scan"`` evaluates the join filtration on the
-    candidate family and reads deaths from strict supersets; both are
-    exact and agree with the materialized join.
+    no others.  Each face's window is read straight off the stacked
+    matrices: the birth is the smallest diameter over the trees, and the
+    death is the smallest over trees and outside taxa of the worst
+    coalescence time into the face (the strong triangle inequality makes
+    that the exact covering time of every one-element extension).
     """
-    if method not in ("matrix", "scan"):
-        raise ValueError(f"unknown method {method!r}")
     if not ultras:
         raise ValueError("need at least one ultranetwork")
     ultras = [as_ultranetwork(u) for u in ultras]
@@ -238,34 +232,17 @@ def join_mergegram_of_treegrams(
     cands = _tree_candidates(ultras)
 
     entries: dict[int, Interval] = {}
-    if method == "matrix":
-        for m in cands:
-            idx = list(bits(m))
-            colmax = stack[:, idx, :].max(axis=1)  # worst time into m, per taxon
-            birth = float(colmax[:, idx].max(axis=1).min())
-            if m == full:
-                death = math.inf
-            else:
-                outside = [i for i in range(n) if not (m >> i) & 1]
-                death = float(colmax[:, outside].min())
-            if birth < death:
-                entries[m] = Interval(birth, death)
-    else:
-        values: dict[int, float] = {}
-        for m in cands:
-            idx = list(bits(m))
-            values[m] = float(stack[:, idx, :][:, :, idx].max(axis=(1, 2)).min())
-        for m in cands:
-            birth = values[m]
-            if m == full:
-                death = math.inf
-            else:
-                death = min(
-                    (values[s] for s in cands if s != m and s | m == s),
-                    default=math.inf,
-                )
-            if birth < death:
-                entries[m] = Interval(birth, death)
+    for m in cands:
+        idx = list(bits(m))
+        colmax = stack[:, idx, :].max(axis=1)  # worst time into m, per taxon
+        birth = float(colmax[:, idx].max(axis=1).min())
+        if m == full:
+            death = math.inf
+        else:
+            outside = [i for i in range(n) if not (m >> i) & 1]
+            death = float(colmax[:, outside].min())
+        if birth < death:
+            entries[m] = Interval(birth, death)
     return LabeledMergegram(universe, entries)
 
 

@@ -163,7 +163,8 @@ def bottleneck_distance(a, b) -> float:
             hi = mid
         else:
             lo = mid + 1
-    assert _feasible(fa, fb, ordered[lo]) is not None
+    if _feasible(fa, fb, ordered[lo]) is None:
+        raise RuntimeError(f"bottleneck search ended without a matching at {ordered[lo]!r}")
     return ordered[lo]
 
 

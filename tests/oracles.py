@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from phylolattice import Graph, TaxaSet, bits
+from phylolattice import Graph, Interval, LabeledMergegram, TaxaSet, bits
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -123,3 +123,37 @@ def lifespans_by_definition(f, universe: TaxaSet) -> dict[int, tuple[float, floa
         if birth < death:
             out[m] = (birth, death)
     return out
+
+
+def join_mergegram_by_scan(ultras) -> LabeledMergegram:
+    """Labeled mergegram of the facegram join of treegrams, by evaluating the
+    join filtration on every tree face and reading each death off the
+    strict supersets.
+
+    A face's join value is its smallest diameter over the trees; the tree
+    faces are the sub-level balls of observed taxa.
+    """
+    universe = ultras[0].universe
+    full = universe.full_mask
+    cands: set[int] = set()
+    for u in ultras:
+        m = u.matrix
+        for eps in np.unique(m):
+            for i in np.nonzero(np.diag(m) <= eps)[0]:
+                cands.add(sum(1 << int(j) for j in np.nonzero(m[i] <= eps)[0]))
+    stack = np.stack([u.matrix for u in ultras])
+    values = {}
+    for m in cands:
+        idx = list(bits(m))
+        values[m] = float(stack[:, idx, :][:, :, idx].max(axis=(1, 2)).min())
+    entries: dict[int, Interval] = {}
+    for m, birth in values.items():
+        if m == full:
+            death = math.inf
+        else:
+            death = min(
+                (values[s] for s in cands if s != m and s | m == s), default=math.inf
+            )
+        if birth < death:
+            entries[m] = Interval(birth, death)
+    return LabeledMergegram(universe, entries)

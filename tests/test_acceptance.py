@@ -50,6 +50,7 @@ from phylolattice import (
 from phylolattice.experiments import ExperimentConfig
 from phylolattice.networks import PhyloNetwork
 
+from oracles import join_mergegram_by_scan
 from util import random_network, random_ultrametric, taxa
 
 INF = math.inf
@@ -172,8 +173,8 @@ def test_criterion_3_fast_joins_match_the_definition():
         n = 2 + i % 7
         ell = 1 + i % 5
         ultras = [random_ultrametric(taxa(n), rng, late=i % 3 == 0) for _ in range(ell)]
-        by_matrix = join_mergegram_of_treegrams(ultras, "matrix")
-        by_scan = join_mergegram_of_treegrams(ultras, "scan")
+        by_matrix = join_mergegram_of_treegrams(ultras)
+        by_scan = join_mergegram_by_scan(ultras)
         slow = labeled_mergegram(
             join_grams([treegram_from_ultranetwork(u) for u in ultras], "facegram")
         )
@@ -291,16 +292,14 @@ def test_criterion_7_progressions_descend_to_zero():
 
 def test_criterion_8_tree_count_scaling_stays_tame():
     spot = gen_random_treegrams(ExperimentConfig(taxa=64, trees=4, seed=8))
-    assert join_mergegram_of_treegrams(spot, "matrix") == join_mergegram_of_treegrams(
-        spot, "scan"
-    )
+    assert join_mergegram_of_treegrams(spot) == join_mergegram_by_scan(spot)
 
     def best_of_two(ell):
         trees = gen_random_treegrams(ExperimentConfig(taxa=64, trees=ell, seed=8))
         runs = []
         for _ in range(2):
             t0 = time.perf_counter()
-            join_mergegram_of_treegrams(trees, "matrix")
+            join_mergegram_of_treegrams(trees)
             runs.append(time.perf_counter() - t0)
         return min(runs)
 
@@ -320,7 +319,7 @@ def test_criterion_9_substitute_gates_for_external_data():
     # equivalences (criterion 3).  One more seeded instance of each runs
     # below so this gate fails if either substitute regresses.
     ultras = gen_random_treegrams(ExperimentConfig(taxa=6, trees=4, seed=9))
-    fast = join_mergegram_of_treegrams(ultras, "matrix")
+    fast = join_mergegram_of_treegrams(ultras)
     slow = labeled_mergegram(
         join_grams([treegram_from_ultranetwork(u) for u in ultras], "facegram")
     )

@@ -1,8 +1,10 @@
 import json
+import logging
 
 import pytest
 
 from phylolattice import (
+    LabeledMergegram,
     join_grams,
     labeled_mergegram,
     labeled_mergegram_json,
@@ -140,6 +142,16 @@ class TestMergegramCommand:
         ]
         slow = labeled_mergegram(join_grams(parts, "facegram"))
         assert fast.read_text() == labeled_mergegram_json(slow)
+
+    def test_fast_tree_join_debug_check_fails_loudly(
+        self, tree_file, monkeypatch, caplog, capsys
+    ):
+        caplog.set_level(logging.DEBUG, logger="phylolattice")
+        wrong = lambda ultras: LabeledMergegram(ultras[0].universe, {})
+        monkeypatch.setattr("phylolattice.cli.join_mergegram_of_treegrams", wrong)
+        code = run(["mergegram", "--in", str(tree_file), "--fast-tree-join"])
+        assert code == 1
+        assert "error: fast tree join disagrees" in capsys.readouterr().err
 
     def test_fast_tree_join_needs_newick(self, matrix_file, capsys):
         code = run(["mergegram", "--in", str(matrix_file), "--fast-tree-join"])

@@ -166,10 +166,6 @@ class TestCliquegramFromNetwork:
         assert g2.level_at(1.0) == fs(taxa(3), "ab", "bc")
         assert g.criticals == (0.0, 1.05)
 
-    def test_jobs_match_serial(self, rng):
-        net = random_network(taxa(6), rng)
-        assert cliquegram_from_network(net, jobs=2) == cliquegram_from_network(net)
-
 
 class TestTreegram:
     def test_from_ultranetwork(self, rng):

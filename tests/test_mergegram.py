@@ -26,7 +26,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 
-from oracles import lifespans_by_definition
+from oracles import join_mergegram_by_scan, lifespans_by_definition
 from util import gram_of, random_network, random_ultrametric, taxa
 
 INF = math.inf
@@ -215,7 +215,7 @@ class TestTreeJoin:
         u = random_ultrametric(taxa(5), rng, late=True)
         expect = labeled_mergegram(treegram_from_ultranetwork(u))
         assert join_mergegram_of_treegrams([u]) == expect
-        assert join_mergegram_of_treegrams([u], method="scan") == expect
+        assert join_mergegram_by_scan([u]) == expect
 
     def test_methods_agree_with_materialized_join(self, rng):
         for n in (3, 5, 7):
@@ -227,12 +227,10 @@ class TestTreeJoin:
                         [treegram_from_ultranetwork(u) for u in us], "facegram"
                     )
                 )
-                assert join_mergegram_of_treegrams(us, method="matrix") == slow
-                assert join_mergegram_of_treegrams(us, method="scan") == slow
+                assert join_mergegram_of_treegrams(us) == slow
+                assert join_mergegram_by_scan(us) == slow
 
     def test_input_validation(self, rng):
-        with pytest.raises(ValueError, match="method"):
-            join_mergegram_of_treegrams([self.u3(1, 1, 1)], method="fast")
         with pytest.raises(ValueError, match="at least one"):
             join_mergegram_of_treegrams([])
         with pytest.raises(ValueError, match="different universes"):
