@@ -240,7 +240,7 @@ def cmd_experiment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     series = {}
     for mode in modes:
-        rows = bottleneck_progression(ultras, mode, jobs=args.jobs)
+        rows = bottleneck_progression(ultras, mode)
         if rows[-1][1] != 0.0:
             raise RuntimeError(f"{mode}: final distance is {rows[-1][1]}, not 0")
         buf = io.StringIO()
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("name", help="currently only bottleneck-progression")
     q.add_argument("--trees", required=True)
     q.add_argument("--mode", choices=("cliquegram", "facegram", "both"), default="both")
-    q.add_argument("--jobs", type=int, default=1)
     q.add_argument("-o", "--output", required=True, help="output directory")
     q.set_defaults(func=cmd_experiment)
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import METHODS, agglomerative_ultrametric
 from .grams import Gram, gram_leq, join_grams, treegram_from_ultranetwork
-from .mergegram import Mergegram, mergegram
+from .mergegram import mergegram
 from .metrics import bottleneck_distance
 from .networks import PhyloNetwork, Ultranetwork
 from .taxa import TaxaSet
@@ -70,22 +69,12 @@ def partial_joins(grams: list[Gram], mode: str) -> list[Gram]:
     return out
 
 
-def _distance_to_final(pair: tuple[Mergegram, Mergegram]) -> float:
-    return bottleneck_distance(pair[0], pair[1])
-
-
 def bottleneck_progression(
-    trees: list[PhyloNetwork], mode: str = "facegram", jobs: int = 1
+    trees: list[PhyloNetwork], mode: str = "facegram"
 ) -> list[tuple[int, float]]:
     """Rows (k, d_B(mergegram of the first-k join, mergegram of the full
     join)) for k = 1..len(trees); the last row is identically zero."""
     grams = [treegram_from_ultranetwork(u) for u in trees]
     joins = partial_joins(grams, mode)
     mgms = [mergegram(g) for g in joins]
-    final = mgms[-1]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dists = list(pool.map(_distance_to_final, [(m, final) for m in mgms]))
-    else:
-        dists = [bottleneck_distance(m, final) for m in mgms]
-    return [(k + 1, d) for k, d in enumerate(dists)]
+    return [(k + 1, bottleneck_distance(m, mgms[-1])) for k, m in enumerate(mgms)]

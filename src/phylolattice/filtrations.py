@@ -75,7 +75,7 @@ class FacegramFiltration(Filtration):
         levels = self.gram.levels
         lo, hi = 0, len(levels) - 1
         if not levels[hi][1].covers(mask):  # top level is {X}; always covers
-            raise AssertionError("facegram does not top out at the full face")
+            raise RuntimeError("facegram does not top out at the full face")
         while lo < hi:
             mid = (lo + hi) // 2
             if levels[mid][1].covers(mask):

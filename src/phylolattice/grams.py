@@ -209,7 +209,7 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
             block[np.isnan(block)] = t
             m[np.ix_(idx, idx)] = block
     if np.isnan(m).any():
-        raise AssertionError("cliquegram does not cover every pair")
+        raise RuntimeError("cliquegram does not cover every pair")
     return PhyloNetwork(g.universe, m)
 
 

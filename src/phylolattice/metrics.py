@@ -2,15 +2,18 @@
 tiny-scale tripod / Gromov-Hausdorff oracles.
 
 The bottleneck distance is exact: the optimum is one of finitely many
-candidate values (pairwise sup-distances and half-persistences), located
-by binary search with a max-flow feasibility test on multiplicity-
-aggregated points.  The brute-force oracles enumerate correspondences
+candidate values (pairwise sup-distances and half-persistences).  A
+lower bound among them is probed first, then a binary search runs above
+it; each probe is a max-flow feasibility test on multiplicity-aggregated
+points.  The brute-force oracles enumerate correspondences
 outright and are guarded to tiny inputs.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,6 +31,8 @@ from .grams import Gram, filtration_from_facegram
 from .mergegram import LabeledMergegram
 from .networks import PhyloNetwork
 from .taxa import TaxaSet
+
+log = logging.getLogger(__name__)
 
 Point = tuple[float, float]
 
@@ -66,15 +71,30 @@ class Matching(NamedTuple):
         return sorted(used_a) == expand(a) and sorted(used_b) == expand(b)
 
 
-def _split(diagram) -> tuple[list[tuple[Point, int]], list[tuple[float, int]]]:
-    finite: list[tuple[Point, int]] = []
-    inf_births: list[tuple[float, int]] = []
-    for birth, death, mult in diagram.points:
-        if math.isinf(death):
-            inf_births.append((birth, mult))
-        else:
-            finite.append(((birth, death), mult))
-    return finite, inf_births
+class _Finite(NamedTuple):
+    """The distinct finite points of one diagram, as arrays."""
+
+    births: np.ndarray
+    deaths: np.ndarray
+    mults: np.ndarray
+    half: np.ndarray  # half-persistences, the cost of dropping a point
+
+
+def _split(diagram) -> tuple[_Finite, list[tuple[float, int]]]:
+    finite = [(b, d, m) for b, d, m in diagram.points if not math.isinf(d)]
+    inf_births = [(b, m) for b, d, m in diagram.points if math.isinf(d)]
+    births = np.array([b for b, _, _ in finite], dtype=np.float64)
+    deaths = np.array([d for _, d, _ in finite], dtype=np.float64)
+    mults = np.array([m for _, _, m in finite], dtype=np.int64)
+    return _Finite(births, deaths, mults, (deaths - births) / 2.0), inf_births
+
+
+def _sup_matrix(fa: _Finite, fb: _Finite) -> np.ndarray:
+    """Pairwise sup-norm distances of the finite points, |A| x |B|."""
+    return np.maximum(
+        np.abs(fa.births[:, None] - fb.births[None, :]),
+        np.abs(fa.deaths[:, None] - fb.deaths[None, :]),
+    )
 
 
 def _expand(weighted: Sequence[tuple[float, int]]) -> list[float]:
@@ -91,46 +111,37 @@ def _infinite_part_cost(a_births, b_births) -> float:
     return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
 
 
-def _feasible(
-    fa: list[tuple[Point, int]], fb: list[tuple[Point, int]], eps: float
-) -> csr_matrix | None:
-    """Flow network for an eps-matching of the finite parts.
+def _feasible(fa: _Finite, fb: _Finite, dist: np.ndarray, eps: float):
+    """Max flow of the eps-matching network of the finite parts.
 
     Nodes: source, the distinct points of each side, one aggregated
     diagonal node per side, sink.  Feasible iff the max flow saturates
-    both sides, i.e. equals |A| + |B|.  Returns the residual-free flow
-    matrix on success for witness extraction, None when infeasible.
+    both sides, i.e. equals |A| + |B|.  Returns the flow matrix on
+    success for witness extraction, None when infeasible.
     """
-    na, nb = len(fa), len(fb)
-    tot_a = sum(m for _, m in fa)
-    tot_b = sum(m for _, m in fb)
-    S = 0
-    A0 = 1
+    na, nb = len(fa.mults), len(fb.mults)
+    tot_a, tot_b = int(fa.mults.sum()), int(fb.mults.sum())
+    S, A0 = 0, 1
     DL = A0 + na  # diagonal that absorbs deletions of B
     B0 = DL + 1
     DR = B0 + nb  # diagonal that absorbs deletions of A
     T = DR + 1
-    rows, cols, caps = [], [], []
-
-    def arc(u: int, v: int, c: int) -> None:
-        rows.append(u)
-        cols.append(v)
-        caps.append(c)
-
-    for i, (p, m) in enumerate(fa):
-        arc(S, A0 + i, m)
-        if _half_persistence(p) <= eps:
-            arc(A0 + i, DR, m)
-        for j, (q, mq) in enumerate(fb):
-            if _point_dist(p, q) <= eps:
-                arc(A0 + i, B0 + j, min(m, mq))
-    arc(S, DL, tot_b)
-    arc(DL, DR, tot_b)
-    for j, (q, mq) in enumerate(fb):
-        arc(B0 + j, T, mq)
-        if _half_persistence(q) <= eps:
-            arc(DL, B0 + j, mq)
-    arc(DR, T, tot_a)
+    ia, ib = np.arange(na), np.arange(nb)
+    pa, pb = np.nonzero(dist <= eps)
+    drop_a = np.nonzero(fa.half <= eps)[0]
+    drop_b = np.nonzero(fb.half <= eps)[0]
+    arcs = (  # (tails, heads, capacities), scalars broadcast
+        (S, A0 + ia, fa.mults),
+        (A0 + drop_a, DR, fa.mults[drop_a]),
+        (A0 + pa, B0 + pb, np.minimum(fa.mults[pa], fb.mults[pb])),
+        ([S, DL], [DL, DR], tot_b),
+        (B0 + ib, T, fb.mults),
+        (DL, B0 + drop_b, fb.mults[drop_b]),
+        ([DR], [T], tot_a),
+    )
+    rows, cols, caps = map(
+        np.concatenate, zip(*(np.broadcast_arrays(*arc) for arc in arcs))
+    )
     graph = csr_matrix((caps, (rows, cols)), shape=(T + 1, T + 1), dtype=np.int64)
     result = maximum_flow(graph, S, T)
     if result.flow_value != tot_a + tot_b:
@@ -143,53 +154,80 @@ def bottleneck_distance(a, b) -> float:
     unmatched interval of persistence at most 2 eps.  Infinite-death
     points pair only with each other, at the cost of their birth gap.
     """
+    t0 = time.perf_counter()
     fa, ia = _split(a)
     fb, ib = _split(b)
     base = _infinite_part_cost(ia, ib)
     if math.isinf(base):
         return math.inf
-    cands = {0.0, base}
-    for p, _ in fa:
-        cands.add(_half_persistence(p))
-        for q, _ in fb:
-            cands.add(_point_dist(p, q))
-    for q, _ in fb:
-        cands.add(_half_persistence(q))
-    ordered = sorted(c for c in cands if c >= base and math.isfinite(c))
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(fa, fb, ordered[mid]) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    if _feasible(fa, fb, ordered[lo]) is None:
-        raise RuntimeError(f"bottleneck search ended without a matching at {ordered[lo]!r}")
-    return ordered[lo]
+    dist = _sup_matrix(fa, fb)
+    cands = np.unique(np.concatenate((dist.ravel(), fa.half, fb.half, [base])))
+    ordered = cands[(cands >= base) & np.isfinite(cands)]
+    # every point is matched or dropped, so no eps below its cheapest
+    # option admits a matching; the largest such option is a candidate
+    cheapest_a = np.minimum(fa.half, dist.min(axis=1, initial=math.inf))
+    cheapest_b = np.minimum(fb.half, dist.min(axis=0, initial=math.inf))
+    lb = float(np.max([base, cheapest_a.max(initial=base), cheapest_b.max(initial=base)]))
+    if not math.isfinite(lb):
+        raise RuntimeError(f"no finite eps admits a matching (lower bound {lb!r})")
+    solves = 0
+
+    def feasible(i: int) -> bool:
+        nonlocal solves
+        solves += 1
+        return _feasible(fa, fb, dist, ordered[i]) is not None
+
+    lo, hi = int(np.searchsorted(ordered, lb)), len(ordered) - 1
+    proven = lo if feasible(lo) else None
+    if proven is None:
+        lo += 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = proven = mid
+            else:
+                lo = mid + 1
+        if proven != lo and (lo > hi or not feasible(lo)):
+            raise RuntimeError(f"no candidate up to {ordered[hi]!r} admits a matching")
+    d = float(ordered[lo])
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=bottleneck points=%d+%d candidates=%d lb=%r solves=%d ms=%.3f",
+            len(fa.mults) + len(ia),
+            len(fb.mults) + len(ib),
+            len(ordered),
+            lb,
+            solves,
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return d
 
 
 def bottleneck_matching(a, b, eps: float) -> Matching | None:
     """Explicit eps-matching witness, or None when eps is too small."""
     fa, ia = _split(a)
     fb, ib = _split(b)
-    if _infinite_part_cost(ia, ib) > eps:
+    base = _infinite_part_cost(ia, ib)
+    if math.isinf(base) or base > eps:
         return None
-    flow = _feasible(fa, fb, eps)
+    flow = _feasible(fa, fb, _sup_matrix(fa, fb), eps)
     if flow is None:
         return None
-    na, nb = len(fa), len(fb)
+    na, nb = len(fa.mults), len(fb.mults)
     A0, DL = 1, 1 + na
     B0, DR = 2 + na, 2 + na + nb
-    dense = flow.toarray()
-    pairs: list[tuple[Point, Point]] = []
-    un_a: list[Point] = []
-    un_b: list[Point] = []
-    for i, (p, _) in enumerate(fa):
-        for j, (q, _) in enumerate(fb):
-            pairs.extend([(p, q)] * int(dense[A0 + i, B0 + j]))
-        un_a.extend([p] * int(dense[A0 + i, DR]))
-    for j, (q, _) in enumerate(fb):
-        un_b.extend([q] * int(dense[DL, B0 + j]))
+    points_a = list(zip(fa.births.tolist(), fa.deaths.tolist()))
+    points_b = list(zip(fb.births.tolist(), fb.deaths.tolist()))
+    block = flow[A0:DL, B0:DR].tocoo()
+    pairs: list[tuple[Point, Point]] = [
+        (points_a[i], points_b[j])
+        for i, j, k in zip(block.row, block.col, block.data)
+        for _ in range(k)
+    ]
+    dropped_a = flow[A0:DL, [DR]].toarray().ravel()
+    dropped_b = flow[[DL], B0:DR].toarray().ravel()
+    un_a = [p for p, k in zip(points_a, dropped_a) for _ in range(k)]
+    un_b = [q for q, k in zip(points_b, dropped_b) for _ in range(k)]
     xs, ys = sorted(_expand(ia)), sorted(_expand(ib))
     pairs.extend(((x, math.inf), (y, math.inf)) for x, y in zip(xs, ys))
     return Matching(tuple(pairs), tuple(un_a), tuple(un_b))

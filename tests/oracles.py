@@ -11,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from phylolattice import Graph, Interval, LabeledMergegram, TaxaSet, bits
 
@@ -78,6 +80,77 @@ def exhaustive_bottleneck(a, b) -> float:
                     cost = max(cost, _del_cost(pb[y]))
                 best = min(best, cost)
     return best
+
+
+def _scalar_feasible(fa, fb, eps: float) -> bool:
+    """Max-flow eps-matching test with one Python ``_sup`` call per pair.
+
+    Nodes: source, the distinct finite points of each side, one aggregated
+    diagonal node per side, sink; feasible iff the flow saturates both
+    sides.
+    """
+    na, nb = len(fa), len(fb)
+    tot_a = sum(m for _, m in fa)
+    tot_b = sum(m for _, m in fb)
+    S, A0 = 0, 1
+    DL = A0 + na
+    B0 = DL + 1
+    DR = B0 + nb
+    T = DR + 1
+    rows, cols, caps = [], [], []
+
+    def arc(u: int, v: int, c: int) -> None:
+        rows.append(u)
+        cols.append(v)
+        caps.append(c)
+
+    for i, (p, m) in enumerate(fa):
+        arc(S, A0 + i, m)
+        if _del_cost(p) <= eps:
+            arc(A0 + i, DR, m)
+        for j, (q, mq) in enumerate(fb):
+            if _sup(p, q) <= eps:
+                arc(A0 + i, B0 + j, min(m, mq))
+    arc(S, DL, tot_b)
+    arc(DL, DR, tot_b)
+    for j, (q, mq) in enumerate(fb):
+        arc(B0 + j, T, mq)
+        if _del_cost(q) <= eps:
+            arc(DL, B0 + j, mq)
+    arc(DR, T, tot_a)
+    graph = csr_matrix((caps, (rows, cols)), shape=(T + 1, T + 1), dtype=np.int64)
+    return maximum_flow(graph, S, T).flow_value == tot_a + tot_b
+
+
+def bottleneck_by_scalar_search(a, b) -> float:
+    """Bottleneck distance by plain binary search over every candidate
+    value (pairwise sup-distances, half-persistences, the infinite-part
+    cost), one max-flow test per probe, and a final explicit check."""
+    fa = [((b_, d), m) for b_, d, m in a.points if not math.isinf(d)]
+    fb = [((b_, d), m) for b_, d, m in b.points if not math.isinf(d)]
+    xs = sorted(b_ for b_, d, m in a.points if math.isinf(d) for _ in range(m))
+    ys = sorted(b_ for b_, d, m in b.points if math.isinf(d) for _ in range(m))
+    if len(xs) != len(ys):
+        return math.inf
+    base = max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
+    cands = {0.0, base}
+    for p, _ in fa:
+        cands.add(_del_cost(p))
+        for q, _ in fb:
+            cands.add(_sup(p, q))
+    for q, _ in fb:
+        cands.add(_del_cost(q))
+    ordered = sorted(c for c in cands if c >= base and math.isfinite(c))
+    lo, hi = 0, len(ordered) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _scalar_feasible(fa, fb, ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    if not _scalar_feasible(fa, fb, ordered[lo]):
+        raise RuntimeError(f"bottleneck search ended without a matching at {ordered[lo]!r}")
+    return ordered[lo]
 
 
 def exhaustive_interleaving(f, g) -> float:

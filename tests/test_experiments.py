@@ -70,7 +70,3 @@ class TestProgression:
     def test_single_tree_progression(self):
         trees = gen_random_treegrams(ExperimentConfig(taxa=4, trees=1, seed=0))
         assert bottleneck_progression(trees) == [(1, 0.0)]
-
-    def test_parallel_matches_serial(self):
-        trees = gen_random_treegrams(ExperimentConfig(taxa=6, trees=4, seed=5))
-        assert bottleneck_progression(trees, jobs=2) == bottleneck_progression(trees)

@@ -1,5 +1,7 @@
-"""Property tests for the lattice laws on seeded treegram families."""
+"""Property tests for the lattice laws on seeded treegram families, and
+for the bottleneck metric on small diagrams."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from phylolattice import (
+    Mergegram,
+    bottleneck_distance,
+    bottleneck_matching,
     join_grams,
     join_mergegram_of_treegrams,
     labeled_mergegram,
@@ -15,7 +20,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 
-from oracles import join_mergegram_by_scan
+from oracles import exhaustive_bottleneck, join_mergegram_by_scan
 from util import random_ultrametric, taxa
 
 MODES = ("facegram", "cliquegram")
@@ -67,3 +72,46 @@ def test_fast_tree_join_equals_materialized_and_scan_joins(ultras):
     grams = [treegram_from_ultranetwork(u) for u in ultras]
     assert fast == labeled_mergegram(join_grams(grams, "facegram"))
     assert fast == join_mergegram_by_scan(ultras)
+
+
+METRIC = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+# a coarse grid, so that coordinates, distances and half-persistences tie
+COORD = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def small_diagrams(draw):
+    """Mergegrams of at most four intervals counted with multiplicity, some
+    repeated, some infinite."""
+    points = []
+    size = 0
+    for _ in range(draw(st.integers(0, 4))):
+        birth = draw(COORD)
+        death = math.inf if draw(st.integers(0, 4)) == 0 else birth + draw(COORD.filter(bool))
+        mult = draw(st.integers(1, 2))
+        if size + mult > 4:
+            break
+        points.append((birth, death, mult))
+        size += mult
+    return Mergegram(points)
+
+
+@METRIC
+@given(small_diagrams(), small_diagrams())
+def test_bottleneck_is_exact_and_symmetric(a, b):
+    d = bottleneck_distance(a, b)
+    assert d == exhaustive_bottleneck(a, b)
+    assert d == bottleneck_distance(b, a)
+
+
+@METRIC
+@given(small_diagrams(), small_diagrams())
+def test_bottleneck_matching_witnesses_the_distance(a, b):
+    d = bottleneck_distance(a, b)
+    m = bottleneck_matching(a, b, d)
+    if math.isinf(d):
+        assert m is None
+        return
+    assert m is not None
+    assert m.cost() <= d
+    assert m.covers(a, b)

@@ -1,8 +1,10 @@
+import logging
 import math
 
 import pytest
 
 from phylolattice import (
+    ExperimentConfig,
     Interval,
     LabeledMergegram,
     Mergegram,
@@ -13,14 +15,17 @@ from phylolattice import (
     facegram_interleaving,
     filtration_from_facegram,
     filtration_interleaving,
+    gen_random_treegrams,
     gromov_hausdorff_bruteforce,
     labeled_mergegram,
     linf_labeled_distance,
     mergegram,
+    partial_joins,
+    treegram_from_ultranetwork,
     vr_tripod_bruteforce,
 )
 
-from oracles import exhaustive_bottleneck, exhaustive_gh
+from oracles import bottleneck_by_scalar_search, exhaustive_bottleneck, exhaustive_gh
 from util import random_network, taxa
 
 INF = math.inf
@@ -89,6 +94,74 @@ class TestBottleneck:
             assert dab <= bottleneck_distance(a, c) + bottleneck_distance(c, b) + 1e-12
 
 
+class TestAgainstScalarSearch:
+    @pytest.mark.parametrize("mode", ["facegram", "cliquegram"])
+    def test_criterion_7_rows_at_n_10(self, mode):
+        trees = gen_random_treegrams(ExperimentConfig(taxa=10, trees=21, seed=17))
+        joins = partial_joins([treegram_from_ultranetwork(u) for u in trees], mode)
+        mgms = [mergegram(g) for g in joins]
+        for m in mgms:
+            d = bottleneck_distance(m, mgms[-1])
+            assert type(d) is float
+            assert d == bottleneck_by_scalar_search(m, mgms[-1])
+
+    def test_result_is_a_python_float(self, rng):
+        for _ in range(10):
+            a = random_mergegram(rng, inf_points=1)
+            b = random_mergegram(rng, inf_points=1)
+            assert type(bottleneck_distance(a, b)) is float
+        assert type(bottleneck_distance(Mergegram(), Mergegram())) is float
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a",
+        [
+            Mergegram([(-1e308, 1e308, 2)]),  # neither copy can be dropped
+            Mergegram([(-INF, 1)]),
+        ],
+    )
+    def test_no_matching_at_a_finite_eps_raises(self, a):
+        b = Mergegram([(0, 1)])
+        for distance in (bottleneck_distance, bottleneck_by_scalar_search):
+            with pytest.raises(RuntimeError, match="admits a matching|without a matching"):
+                distance(a, b)
+
+
+def _debug_fields(caplog) -> dict[str, str]:
+    (record,) = [r for r in caplog.records if r.name == "phylolattice.metrics"]
+    return dict(f.split("=", 1) for f in record.getMessage().split())
+
+
+class TestLowerBoundProbe:
+    def test_tight_lower_bound_takes_one_solve(self, caplog):
+        # each point's cheapest option is the other point, at 1.0
+        a, b = Mergegram([(0, 2)]), Mergegram([(0, 3)])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            d = bottleneck_distance(a, b)
+        assert d == 1.0 == bottleneck_by_scalar_search(a, b)
+        fields = _debug_fields(caplog)
+        assert fields["stage"] == "bottleneck"
+        assert float(fields["lb"]) == d
+        assert fields["solves"] == "1"
+        assert fields["points"] == "1+1"
+
+    def test_loose_lower_bound_falls_back_to_the_search(self, caplog):
+        # both copies of (0, 10) are at distance 0 from the single (0, 10),
+        # but only one can take it: the other must be dropped at cost 5
+        a, b = Mergegram([(0, 10, 2), (1, 2)]), Mergegram([(0, 10), (1, 2.5)])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            d = bottleneck_distance(a, b)
+        assert d == 5.0 == bottleneck_by_scalar_search(a, b)
+        fields = _debug_fields(caplog)
+        assert float(fields["lb"]) == 0.5 < d
+        assert int(fields["solves"]) > 1
+
+    def test_no_log_line_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="phylolattice.metrics"):
+            bottleneck_distance(Mergegram([(0, 2)]), Mergegram([(0, 3)]))
+        assert not [r for r in caplog.records if r.name == "phylolattice.metrics"]
+
+
 class TestMatchingWitness:
     def test_witness_attains_the_distance(self, rng):
         for _ in range(30):
@@ -107,6 +180,7 @@ class TestMatchingWitness:
 
     def test_infinite_mismatch_gives_none(self):
         assert bottleneck_matching(Mergegram([(0, INF)]), Mergegram(), 100.0) is None
+        assert bottleneck_matching(Mergegram(), Mergegram([(0, INF)]), INF) is None
 
 
 class TestLabeledDistance:
