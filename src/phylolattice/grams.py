@@ -3,13 +3,15 @@
 A gram is a piecewise-constant, refinement-monotone map from the real line
 to face-sets, stored as its change points.  Below the first critical value
 the level is implicitly empty; the last level is always the whole universe
-as a single face.
+as a single face.  Validation records each face's lifespan in the same
+pass, and every covering-time question is answered from that record.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .faces import (
     FaceSet,
     Graph,
     cover_graph,
-    faceset_leq,
     is_pair_cover_closed,
     is_subpartition,
     maximal_cliques,
@@ -36,6 +37,13 @@ from .taxa import TaxaSet, bits
 KINDS = ("facegram", "cliquegram", "treegram")
 
 
+class Interval(NamedTuple):
+    """Half-open lifespan [birth, death); death may be infinite."""
+
+    birth: float
+    death: float
+
+
 class Gram:
     """Leveled antichains of faces with strictly increasing critical values.
 
@@ -44,9 +52,10 @@ class Gram:
     cliquegram levels must pass the clique-set condition.  Equality
     compares the universe and the levels; two grams with identical levels
     are the same diagram regardless of how they are classified.
+    ``lifespans`` maps each face ever maximal to its [birth, death).
     """
 
-    __slots__ = ("universe", "levels", "kind")
+    __slots__ = ("universe", "levels", "kind", "criticals", "lifespans")
 
     def __init__(
         self,
@@ -59,21 +68,32 @@ class Gram:
         lv = tuple((float(t), fs) for t, fs in levels)
         if not lv:
             raise ValueError("a gram needs at least one level")
+        alive: dict[int, float] = {}  # faces of the previous level -> birth
+        spans: dict[int, Interval] = {}
         prev_t = None
-        prev_fs = None
         for t, fs in lv:
             if not isinstance(fs, FaceSet) or fs.universe != universe:
                 raise ValueError("levels must be face-sets over the gram universe")
             if not np.isfinite(t):
                 raise ValueError("critical values must be finite")
+            dying = alive.keys() - fs.faces
+            born = [m for m in fs.faces if m not in alive]
             if prev_t is not None:
                 if t <= prev_t:
                     raise ValueError("critical values must be strictly increasing")
-                if not faceset_leq(prev_fs, fs):
+                # a surviving face covers itself; only the dying need a cover
+                if not all(fs.covers(m) for m in dying):
                     raise ValueError(f"levels are not refinement-monotone at t={t!r}")
-                if fs == prev_fs:
+                if not dying and not born:
                     raise ValueError(f"consecutive levels at t={t!r} are identical")
-            prev_t, prev_fs = t, fs
+            for m in dying:
+                spans[m] = Interval(alive.pop(m), t)
+            for m in born:
+                # an absorbed face stays covered, so it is never maximal again
+                if m in spans:
+                    raise RuntimeError("face reappeared in the gram")
+                alive[m] = t
+            prev_t = t
         top = lv[-1][1]
         if top.faces != (universe.full_mask,):
             raise ValueError("the last level must be the single full face")
@@ -86,9 +106,12 @@ class Gram:
                 # subpartitions are always clique-sets; skip the clique check
                 if not is_subpartition(fs) and not is_pair_cover_closed(fs):
                     raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
+        spans[universe.full_mask] = Interval(alive[universe.full_mask], math.inf)
         self.universe = universe
         self.levels = lv
         self.kind = kind
+        self.criticals = tuple(t for t, _ in lv)
+        self.lifespans = spans
 
     def __eq__(self, other: object) -> bool:
         # kind is classification metadata, not identity
@@ -105,10 +128,6 @@ class Gram:
         parts = ", ".join(f"{t!r}: {fs.names()!r}" for t, fs in self.levels)
         return f"Gram[{self.kind}]({parts})"
 
-    @property
-    def criticals(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.levels)
-
     def level_at(self, t: float) -> FaceSet:
         """Face-set at time ``t``; empty below the first critical value."""
         i = bisect.bisect_right(self.criticals, t) - 1
@@ -118,23 +137,19 @@ class Gram:
 
     def all_faces(self) -> tuple[int, ...]:
         """Every face mask appearing at any level, sorted."""
-        out: set[int] = set()
-        for _, fs in self.levels:
-            out.update(fs.faces)
-        return tuple(sorted(out))
+        return tuple(sorted(self.lifespans))
 
     def with_kind(self, kind: str) -> "Gram":
         return Gram(self.universe, self.levels, kind)
 
 
 def gram_leq(a: Gram, b: Gram) -> bool:
-    """Pointwise refinement order, checked at the union of critical values."""
+    """Pointwise refinement order: no face of ``a`` is born before ``b``
+    covers it (``b`` is monotone, so it covers the face from then on)."""
     if a.universe != b.universe:
         raise ValueError("grams live over different universes")
-    for t in sorted(set(a.criticals) | set(b.criticals)):
-        if not faceset_leq(a.level_at(t), b.level_at(t)):
-            return False
-    return True
+    covering = FacegramFiltration(b)
+    return all(covering.value(m) <= iv.birth for m, iv in a.lifespans.items())
 
 
 def _coalesce(values: np.ndarray, tol: float) -> list[float]:
@@ -199,17 +214,14 @@ def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
 
 
 def network_from_cliquegram(g: Gram) -> PhyloNetwork:
-    """First joint-cover times of every pair and singleton (inverse sweep)."""
+    """First joint-cover times: each face's birth written over its block,
+    latest birth first (the full face, born last, fills every entry)."""
     n = len(g.universe)
-    m = np.full((n, n), np.nan)
-    for t, fs in g.levels:
-        for face in fs.faces:
-            idx = list(bits(face))
-            block = m[np.ix_(idx, idx)]
-            block[np.isnan(block)] = t
-            m[np.ix_(idx, idx)] = block
-    if np.isnan(m).any():
-        raise RuntimeError("cliquegram does not cover every pair")
+    m = np.empty((n, n))
+    by_birth = sorted(g.lifespans.items(), key=lambda kv: kv[1].birth, reverse=True)
+    for face, iv in by_birth:
+        idx = list(bits(face))
+        m[np.ix_(idx, idx)] = iv.birth
     return PhyloNetwork(g.universe, m)
 
 

@@ -1,29 +1,23 @@
 """Mergegrams, labeled mergegrams, and zero-dimensional persistence.
 
 The labeled mergegram records, for each face that is ever maximal in a
-gram, the half-open window during which it is maximal; forgetting labels
-gives the mergegram multiset.  Tree joins admit a direct computation
-that never materializes the joined gram.
+gram, the half-open window during which it is maximal; a ``Gram`` keeps
+that record from its construction.  Forgetting labels gives the mergegram
+multiset.  Tree joins admit a direct computation that never materializes
+the joined gram.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .filtrations import Filtration, all_faces
-from .grams import Gram, treegram_from_ultranetwork
+from .grams import Gram, Interval, treegram_from_ultranetwork
 from .networks import PhyloNetwork, as_ultranetwork
 from .taxa import TaxaSet, bits
-
-
-class Interval(NamedTuple):
-    """Half-open lifespan [birth, death); death may be infinite."""
-
-    birth: float
-    death: float
 
 
 def _canonical_points(
@@ -135,26 +129,8 @@ class LabeledMergegram:
 
 
 def labeled_mergegram(g: Gram) -> LabeledMergegram:
-    """Sweep the levels: birth on first appearance, death on disappearance."""
-    births: dict[int, float] = {}
-    entries: dict[int, Interval] = {}
-    prev: tuple[int, ...] = ()
-    for t, fs in g.levels:
-        cur = fs.faces
-        cur_set = set(cur)
-        for m in prev:
-            if m not in cur_set:
-                entries[m] = Interval(births.pop(m), t)
-        for m in cur:
-            if m not in births:
-                # a face may never be maximal again once absorbed
-                if m in entries:
-                    raise RuntimeError("face reappeared in the gram")
-                births[m] = t
-        prev = cur
-    for m, b in births.items():
-        entries[m] = Interval(b, math.inf)
-    return LabeledMergegram(g.universe, entries)
+    """The lifespans the gram recorded while validating its levels."""
+    return LabeledMergegram(g.universe, g.lifespans)
 
 
 def mergegram(g: Gram) -> Mergegram:

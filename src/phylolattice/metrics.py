@@ -2,11 +2,12 @@
 tiny-scale tripod / Gromov-Hausdorff oracles.
 
 The bottleneck distance is exact: the optimum is one of finitely many
-candidate values (pairwise sup-distances and half-persistences).  A
-lower bound among them is probed first, then a binary search runs above
-it; each probe is a max-flow feasibility test on multiplicity-aggregated
-points.  The brute-force oracles enumerate correspondences
-outright and are guarded to tiny inputs.
+candidate values (half-persistences, and the pairwise sup-distances below
+the larger half-persistence of their pair).  A lower bound among them is
+probed first, then a binary search runs above it; each probe is a
+max-flow feasibility test on multiplicity-aggregated points.  The
+brute-force oracles enumerate correspondences outright and are guarded to
+tiny inputs.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ def bottleneck_distance(a, b) -> float:
     if math.isinf(base):
         return math.inf
     dist = _sup_matrix(fa, fb)
-    cands = np.unique(np.concatenate((dist.ravel(), fa.half, fb.half, [base])))
+    # a pair never decides feasibility where both its points can drop
+    deciding = dist[dist < np.maximum.outer(fa.half, fb.half)]
+    cands = np.unique(np.concatenate((deciding, fa.half, fb.half, [base])))
     ordered = cands[(cands >= base) & np.isfinite(cands)]
     # every point is matched or dropped, so no eps below its cheapest
     # option admits a matching; the largest such option is a candidate

@@ -8,7 +8,8 @@ float comparisons.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,21 +89,28 @@ class Ultranetwork(PhyloNetwork):
 
     def __init__(self, universe: TaxaSet, matrix):
         super().__init__(universe, matrix)
-        bad = _strong_triangle_violations(self.matrix)
+        bad = list(islice(_strong_triangle_violations(self.matrix), 10))
         if bad:
             labels = universe.labels
             violations = [
                 f"strong triangle fails at ({labels[x]},{labels[y]},{labels[z]})"
-                for x, y, z in bad[:10]
+                for x, y, z in bad
             ]
             raise NetworkValidationError(violations)
 
 
-def _strong_triangle_violations(m: np.ndarray) -> list[tuple[int, int, int]]:
-    # N(x,z) <= max(N(x,y), N(y,z)) for every ordered triple
-    thr = np.maximum(m[:, :, None], m[None, :, :])  # (x, y, z)
-    bad = m[:, None, :] > thr
-    return [tuple(ijk) for ijk in np.argwhere(bad)]
+_BLOCK_ELEMENTS = 1 << 20  # (x, y, z) triples checked per numpy call
+
+
+def _strong_triangle_violations(m: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """Triples breaking N(x,z) <= max(N(x,y), N(y,z)) in (x, y, z) order,
+    checked in blocks of x rows so that memory stays bounded."""
+    step = max(1, _BLOCK_ELEMENTS // m.size)
+    for x0 in range(0, len(m), step):
+        rows = m[x0 : x0 + step]
+        bad = rows[:, None, :] > np.maximum(rows[:, :, None], m[None, :, :])
+        for x, y, z in np.argwhere(bad):
+            yield (x0 + int(x), int(y), int(z))
 
 
 def validate_network(labels: Iterable[str], rows) -> PhyloNetwork:
@@ -111,7 +119,7 @@ def validate_network(labels: Iterable[str], rows) -> PhyloNetwork:
 
 
 def is_ultranetwork(net: PhyloNetwork) -> bool:
-    return not _strong_triangle_violations(net.matrix)
+    return next(_strong_triangle_violations(net.matrix), None) is None
 
 
 def as_ultranetwork(net: PhyloNetwork) -> Ultranetwork:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from phylolattice import Graph, Interval, LabeledMergegram, TaxaSet, bits
+from phylolattice import Graph, Interval, LabeledMergegram, TaxaSet, bits, faceset_leq
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -32,6 +32,17 @@ def enumerate_maximal_cliques(graph: Graph) -> set[int]:
         if not any(c != d and c | d == d for d in cliques):
             out.add(c)
     return out
+
+
+def gram_leq_by_levels(a, b) -> bool:
+    """Pointwise refinement order by definition: compare the two levels at
+    every critical value of either gram."""
+    if a.universe != b.universe:
+        raise ValueError("grams live over different universes")
+    for t in sorted(set(a.criticals) | set(b.criticals)):
+        if not faceset_leq(a.level_at(t), b.level_at(t)):
+            return False
+    return True
 
 
 def minimax_closure(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from phylolattice import (
     Mergegram,
     PersistenceDiagram,
     Surjection,
-    TableFiltration,
     Ultranetwork,
     VRFiltration,
     agglomerative_ultrametric,
@@ -51,7 +50,7 @@ from phylolattice.experiments import ExperimentConfig
 from phylolattice.networks import PhyloNetwork
 
 from oracles import join_mergegram_by_scan
-from util import random_network, random_ultrametric, taxa
+from util import random_monotone_table, random_network, random_ultrametric, taxa
 
 INF = math.inf
 SLACK = 1e-12
@@ -61,20 +60,6 @@ def line_ultrametric(points):
     ts = taxa(len(points))
     d = PhyloNetwork(ts, [[abs(p - q) for q in points] for p in points])
     return agglomerative_ultrametric(d, "single")
-
-
-def random_monotone_table(ts, rng):
-    """Monotone filtration on all faces: running max of i.i.d. face weights."""
-    raw = {m: round(rng.uniform(0, 2), 3) for m in all_faces(ts)}
-    value = {}
-    for m in sorted(raw):  # subsets of m are numerically smaller
-        v = raw[m]
-        sub = (m - 1) & m
-        while sub:
-            v = max(v, value[sub])
-            sub = (sub - 1) & m
-        value[m] = v
-    return TableFiltration(ts, value)
 
 
 def maximal_cliques_by_subsets(matrix, t):

@@ -15,7 +15,7 @@ from phylolattice import (
 )
 
 from oracles import exhaustive_interleaving
-from util import gram_of, random_network, taxa
+from util import gram_of, random_monotone_table, random_network, taxa
 
 
 def test_vr_values_and_matrix():
@@ -159,3 +159,33 @@ class TestInterleaving:
                 cliquegram_from_network(random_network(ts, rng))
             )
             assert filtration_interleaving(f, g) == exhaustive_interleaving(f, g)
+
+    def test_matches_exhaustive_on_table_pairs(self, rng):
+        for n in (2, 3, 4):
+            ts = taxa(n)
+            for _ in range(20):
+                f, g = random_monotone_table(ts, rng), random_monotone_table(ts, rng)
+                assert filtration_interleaving(f, g) == exhaustive_interleaving(f, g)
+
+    def test_matches_exhaustive_on_pullback_pairs(self, rng):
+        base_ts, big = taxa(3), taxa(5)
+        phis = [
+            Surjection(big, base_ts, [0, 0, 1, 2, 2]),
+            Surjection(big, base_ts, [2, 1, 0, 1, 0]),
+        ]
+        for _ in range(20):
+            bases = [
+                VRFiltration(random_network(base_ts, rng, late=True)),
+                filtration_from_facegram(
+                    cliquegram_from_network(random_network(base_ts, rng))
+                ),
+                random_monotone_table(base_ts, rng),
+            ]
+            pulled = [pullback_filtration(b, phi) for b in bases for phi in phis]
+            others = pulled + [
+                VRFiltration(random_network(big, rng)),
+                random_monotone_table(big, rng),
+            ]
+            for f in pulled:
+                g = rng.choice(others)
+                assert filtration_interleaving(f, g) == exhaustive_interleaving(f, g)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from phylolattice import (
     Surjection,
 )
 
-from oracles import enumerate_maximal_cliques
+from oracles import enumerate_maximal_cliques, gram_leq_by_levels
 from util import gram_of, random_network, random_ultrametric, taxa
 
 
@@ -116,6 +118,60 @@ def test_gram_leq():
     assert not gram_leq(coarse, fine)
     with pytest.raises(ValueError, match="different universes"):
         gram_leq(fine, gram_of(taxa(3), [(0.0, [["a", "b", "c"]])]))
+
+
+def _random_gram(ts, rng):
+    """A cliquegram, a facegram join of treegrams, or a squash of one.
+
+    Half of them top out at 1.0, so that their full faces are born
+    together and only the inner faces can decide the order.
+    """
+    top = rng.random() < 0.5
+
+    def scaled(net):
+        return PhyloNetwork(ts, net.matrix / net.matrix.max()) if top else net
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        net = random_network(ts, rng, late=rng.random() < 0.5)
+        return cliquegram_from_network(scaled(net))
+    trees = [
+        treegram_from_ultranetwork(
+            scaled(random_ultrametric(ts, rng, late=rng.random() < 0.5))
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    join = join_grams(trees, "facegram")
+    return join if kind == 1 else squash_to_cliquegram(join)
+
+
+def test_gram_leq_matches_levelwise_definition():
+    rng = random.Random(20231)
+    outcomes = []
+    for i in range(300):
+        ts = taxa(rng.randint(2, 5))
+        a, b = _random_gram(ts, rng), _random_gram(ts, rng)
+        prejoined = i % 3 == 0
+        if prejoined:
+            b = join_grams([a, b], "facegram")
+        leq = gram_leq(a, b)
+        assert leq == gram_leq_by_levels(a, b)
+        assert leq or not prejoined
+        outcomes.append(leq)
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
+def test_lifespans_follow_the_levels():
+    ts = taxa(3)
+    g = gram_of(ts, [(0.0, [["a"], ["b"]]), (1.0, [["a", "b"], ["c"]]),
+                     (2.0, [["a", "b", "c"]])])
+    assert g.lifespans == {
+        0b001: (0.0, 1.0),
+        0b010: (0.0, 1.0),
+        0b011: (1.0, 2.0),
+        0b100: (1.0, 2.0),
+        0b111: (2.0, float("inf")),
+    }
 
 
 class TestCliquegramFromNetwork:

@@ -156,6 +156,14 @@ class TestLowerBoundProbe:
         assert float(fields["lb"]) == 0.5 < d
         assert int(fields["solves"]) > 1
 
+    def test_pairs_both_points_can_drop_are_not_candidates(self, caplog):
+        # 0.0, 1.0 (both half-persistences) and not the pair distance 5.0
+        a, b = Mergegram([(0, 2)]), Mergegram([(5, 7)])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            d = bottleneck_distance(a, b)
+        assert d == 1.0 == bottleneck_by_scalar_search(a, b)
+        assert _debug_fields(caplog)["candidates"] == "2"
+
     def test_no_log_line_above_debug(self, caplog):
         with caplog.at_level(logging.INFO, logger="phylolattice.metrics"):
             bottleneck_distance(Mergegram([(0, 2)]), Mergegram([(0, 3)]))

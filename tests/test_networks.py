@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from phylolattice import networks
 from phylolattice import (
     NetworkValidationError,
     PhyloNetwork,
+    TaxaSet,
     Ultranetwork,
     as_ultranetwork,
     is_ultranetwork,
@@ -61,6 +65,39 @@ def test_strong_triangle():
         Ultranetwork(taxa(3), [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     u = Ultranetwork(taxa(3), [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
     assert is_ultranetwork(u)
+
+
+def test_strong_triangle_blocks_keep_order_and_first_ten(rng, monkeypatch):
+    net = random_network(taxa(7), rng)
+    m = net.matrix
+    thr = np.maximum(m[:, :, None], m[None, :, :])
+    expect = [tuple(int(i) for i in xyz) for xyz in np.argwhere(m[:, None, :] > thr)]
+    assert len(expect) > 10
+    for block in (1, 98, 147, 1 << 20):  # 1, 2, 3 and all 7 rows per block
+        monkeypatch.setattr(networks, "_BLOCK_ELEMENTS", block)
+        assert list(networks._strong_triangle_violations(m)) == expect
+        with pytest.raises(NetworkValidationError) as err:
+            Ultranetwork(net.universe, m)
+        labels = net.universe.labels
+        assert err.value.violations == [
+            f"strong triangle fails at ({labels[x]},{labels[y]},{labels[z]})"
+            for x, y, z in expect[:10]
+        ]
+
+
+def test_strong_triangle_check_in_bounded_memory():
+    # a 300-leaf binary tree: taxa i and j meet at the highest differing bit
+    n = 300
+    idx = np.arange(n)
+    _, height = np.frexp(np.bitwise_xor.outer(idx, idx).astype(float))
+    net = PhyloNetwork(TaxaSet([f"t{i}" for i in range(n)]), height.astype(float))
+    tracemalloc.start()
+    try:
+        assert is_ultranetwork(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_metric_need_not_be_ultra():

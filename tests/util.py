@@ -8,9 +8,11 @@ from phylolattice import (
     FaceSet,
     Gram,
     PhyloNetwork,
+    TableFiltration,
     TaxaSet,
     Ultranetwork,
     agglomerative_ultrametric,
+    all_faces,
 )
 
 ABC = "abcdefghijklmnop"
@@ -55,3 +57,17 @@ def random_ultrametric(universe: TaxaSet, rng: random.Random, late=False) -> Ult
 
 def gram_of(ts: TaxaSet, levels, kind="facegram") -> Gram:
     return Gram(ts, [(t, FaceSet.from_names(ts, fs)) for t, fs in levels], kind)
+
+
+def random_monotone_table(ts, rng):
+    """Monotone filtration on all faces: running max of i.i.d. face weights."""
+    raw = {m: round(rng.uniform(0, 2), 3) for m in all_faces(ts)}
+    value = {}
+    for m in sorted(raw):  # subsets of m are numerically smaller
+        v = raw[m]
+        sub = (m - 1) & m
+        while sub:
+            v = max(v, value[sub])
+            sub = (sub - 1) & m
+        value[m] = v
+    return TableFiltration(ts, value)
