@@ -44,14 +44,16 @@ class FaceSet:
         ordered = canonical_faces(faces)
         for m in ordered:
             universe.check_face(m)
-        for i, m in enumerate(ordered):
-            for k in ordered[:i]:
-                if m | k == k:
-                    if m == k:
-                        raise ValueError(f"duplicate face {bin(m)}")
-                    raise ValueError(
-                        f"not an antichain: {bin(m)} is contained in {bin(k)}"
-                    )
+        # pairwise disjoint non-empty faces form an antichain
+        if not _pairwise_disjoint(ordered):
+            for i, m in enumerate(ordered):
+                for k in ordered[:i]:
+                    if m | k == k:
+                        if m == k:
+                            raise ValueError(f"duplicate face {bin(m)}")
+                        raise ValueError(
+                            f"not an antichain: {bin(m)} is contained in {bin(k)}"
+                        )
         self.universe = universe
         self.faces = ordered
 
@@ -266,14 +268,18 @@ def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:
     return CliqueSet(universe, maximal_cliques(graph))
 
 
-def is_subpartition(f: FaceSet) -> bool:
-    """True when the faces are pairwise disjoint."""
+def _pairwise_disjoint(masks: Iterable[int]) -> bool:
     seen = 0
-    for m in f.faces:
+    for m in masks:
         if m & seen:
             return False
         seen |= m
     return True
+
+
+def is_subpartition(f: FaceSet) -> bool:
+    """True when the faces are pairwise disjoint."""
+    return _pairwise_disjoint(f.faces)
 
 
 def faceset_to_complex(f: FaceSet) -> frozenset[int]:

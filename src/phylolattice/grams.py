@@ -10,7 +10,9 @@ pass, and every covering-time question is answered from that record.
 from __future__ import annotations
 
 import bisect
+import logging
 import math
+import time
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,8 +33,10 @@ from .filtrations import (
     VRFiltration,
     all_faces,
 )
-from .networks import PhyloNetwork, as_ultranetwork
+from .networks import PhyloNetwork, Ultranetwork, as_ultranetwork
 from .taxa import TaxaSet, bits
+
+log = logging.getLogger(__name__)
 
 KINDS = ("facegram", "cliquegram", "treegram")
 
@@ -225,10 +229,59 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
     return PhyloNetwork(g.universe, m)
 
 
-def treegram_from_ultranetwork(u: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
+def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
+    """Sub-level partitions of an ultranetwork from its single-linkage pass.
+
+    A cluster is a run of the linkage order, and the run that starts at
+    position k merges into its left neighbour at ``joins[k - 1]``.  The
+    level at t holds every run of two or more taxa (each already observed,
+    since an entry bounds both diagonal entries) and the singleton runs of
+    the taxa observed by t.  Every observation and every merge changes the
+    level, so each distinct value is a critical value.
+    """
+    order, joins = u.linkage
+    n = len(order)
+    diag = np.diag(u.matrix)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # at one value, observations (kind 0) go before merges (kind 1)
+    events = sorted(
+        [(float(diag[i]), 0, int(pos[i])) for i in range(n)]
+        + [(float(joins[k - 1]), 1, k) for k in range(1, n)]
+    )
+    end = list(range(1, n + 1))  # run start -> one past its last position
+    start = list(range(n))  # last position of a run -> its start
+    mask = [1 << int(i) for i in order]  # run start -> face mask
+    visible: dict[int, int] = {}  # run start -> face, for the runs in the level
+    levels: list[tuple[float, FaceSet]] = []
+    for e, (t, kind, k) in enumerate(events):
+        if kind == 0:  # no merge has reached the taxon yet
+            visible[k] = mask[k]
+        else:
+            a, b = start[k - 1], end[k]
+            end[a], start[b - 1] = b, a
+            mask[a] |= mask[k]
+            visible.pop(k, None)
+            visible[a] = mask[a]
+        if e + 1 == len(events) or events[e + 1][0] != t:
+            levels.append((t, FaceSet(u.universe, visible.values())))
+    return levels
+
+
+def treegram_from_ultranetwork(u: PhyloNetwork) -> Gram:
     """Sub-level partitions of an ultranetwork (levels are equivalence classes)."""
+    t0 = time.perf_counter()
     u = as_ultranetwork(u)
-    return Gram(u.universe, _clique_levels(u, merge_tol), "treegram")
+    g = Gram(u.universe, _tree_levels(u), "treegram")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=treegram taxa=%d levels=%d faces=%d ms=%.3f",
+            len(u.universe),
+            len(g.levels),
+            len(g.lifespans),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return g
 
 
 def facegram_from_filtration(f: Filtration) -> Gram:

@@ -248,39 +248,13 @@ def gram_from_labeled_mergegram(lm: LabeledMergegram, kind: str = "facegram") ->
 def ph0_elder(u: PhyloNetwork) -> PersistenceDiagram:
     """Zero-dimensional persistence of an ultrametric's sub-level components.
 
-    Every taxon is born at 0; each distinct merge kills one component at
-    the merge value, and the surviving component never dies.  At equal
-    ages the component containing the lexicographically smallest taxon
-    name survives (pure bookkeeping: the multiset does not depend on it).
+    Every taxon is born at 0; each merge of the single-linkage pass kills
+    one component at the merge value (which component survives, the
+    elder rule's choice, does not change the multiset), and the surviving
+    component never dies.
     """
     u = as_ultranetwork(u)
-    m = u.matrix
-    if np.diag(m).any():
+    if np.diag(u.matrix).any():
         raise ValueError("zero-dimensional persistence expects a zero diagonal")
-    n = len(u.universe)
-    parent = list(range(n))
-    best = list(u.universe.labels)  # smallest member name per root
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    points: list[tuple[float, float]] = []
-    order = sorted(
-        ((m[i, j], i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda t: t[0],
-    )
-    for value, i, j in order:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        # survivor: component holding the lexicographically smallest name
-        if best[rj] < best[ri]:
-            ri, rj = rj, ri
-        parent[rj] = ri
-        best[ri] = min(best[ri], best[rj])
-        points.append((0.0, float(value)))
-    points.append((0.0, math.inf))
-    return PersistenceDiagram(points)
+    _, joins = u.linkage
+    return PersistenceDiagram([(0.0, float(v)) for v in joins] + [(0.0, math.inf)])

@@ -83,14 +83,22 @@ class PhyloNetwork:
 
 
 class Ultranetwork(PhyloNetwork):
-    """Network whose entries satisfy the strong triangle inequality."""
+    """Network whose entries satisfy the strong triangle inequality.
 
-    __slots__ = ()
+    ``linkage`` is the single-linkage pass that validated it, as returned
+    by ``_single_linkage``: the taxa in the order the pass took them and
+    the entry by which each one after the first joined.
+    """
+
+    __slots__ = ("linkage",)
 
     def __init__(self, universe: TaxaSet, matrix):
         super().__init__(universe, matrix)
-        bad = list(islice(_strong_triangle_violations(self.matrix), 10))
-        if bad:
+        self.linkage = _single_linkage(self.matrix)
+        if not _is_subdominant(self.matrix, *self.linkage):
+            bad = list(islice(_strong_triangle_violations(self.matrix), 10))
+            if not bad:
+                raise RuntimeError("single-linkage test and triple scan disagree")
             labels = universe.labels
             violations = [
                 f"strong triangle fails at ({labels[x]},{labels[y]},{labels[z]})"
@@ -99,12 +107,60 @@ class Ultranetwork(PhyloNetwork):
             raise NetworkValidationError(violations)
 
 
-_BLOCK_ELEMENTS = 1 << 20  # (x, y, z) triples checked per numpy call
+_BLOCK_ELEMENTS = 1 << 20  # elements compared per numpy call
+
+
+def _single_linkage(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree over the off-diagonal entries of ``m``.
+
+    Returns ``order``, the taxa in the order Prim takes them from taxon 0,
+    and ``joins``, where ``joins[k]`` is the entry by which ``order[k + 1]``
+    joined.  Every single-linkage cluster is a run of ``order`` (Prim
+    finishes a cluster before it pays the larger entry that leaves it), so
+    the minimax path value between ``order[i]`` and ``order[j]``, i < j,
+    is ``max(joins[i:j])``.
+    """
+    n = len(m)
+    order = np.zeros(n, dtype=np.intp)
+    joins = np.empty(n - 1)
+    rest = np.arange(1, n)
+    best = m[0, 1:].copy()  # cheapest entry from each remaining taxon to the tree
+    for k in range(n - 1):
+        i = int(best.argmin())
+        j = rest[i]
+        order[k + 1] = j
+        joins[k] = best[i]
+        last = len(best) - 1
+        rest[i], best[i] = rest[last], best[last]
+        rest, best = rest[:last], best[:last]
+        np.minimum(best, m[j, rest], out=best)
+    return order, joins
+
+
+def _is_subdominant(m: np.ndarray, order: np.ndarray, joins: np.ndarray) -> bool:
+    """True when every entry between two distinct taxa equals their minimax
+    path value, i.e. ``m`` is its own subdominant ultrametric: this holds
+    exactly for the networks that satisfy the strong triangle inequality
+    (Carlsson and Memoli, JMLR 2010).  Checked in blocks of rows of the
+    matrix permuted into single-linkage order."""
+    n = len(m)
+    tail = np.concatenate(([-np.inf], joins))  # tail[j]: order[j] joined by
+    cols = np.arange(n)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for r0 in range(0, n - 1, step):
+        rows = cols[r0 : r0 + step]
+        upper = cols > rows[:, None]
+        minimax = np.maximum.accumulate(np.where(upper, tail, -np.inf), axis=1)
+        entries = np.where(upper, m[np.ix_(order[rows], order)], -np.inf)
+        if not np.array_equal(minimax, entries):
+            return False
+    return True
 
 
 def _strong_triangle_violations(m: np.ndarray) -> Iterator[tuple[int, int, int]]:
     """Triples breaking N(x,z) <= max(N(x,y), N(y,z)) in (x, y, z) order,
-    checked in blocks of x rows so that memory stays bounded."""
+    checked in blocks of x rows so that memory stays bounded.  Cubic time:
+    it words the error after ``_is_subdominant`` has found one."""
     step = max(1, _BLOCK_ELEMENTS // m.size)
     for x0 in range(0, len(m), step):
         rows = m[x0 : x0 + step]
@@ -119,7 +175,8 @@ def validate_network(labels: Iterable[str], rows) -> PhyloNetwork:
 
 
 def is_ultranetwork(net: PhyloNetwork) -> bool:
-    return next(_strong_triangle_violations(net.matrix), None) is None
+    """True when the network satisfies the strong triangle inequality."""
+    return _is_subdominant(net.matrix, *_single_linkage(net.matrix))
 
 
 def as_ultranetwork(net: PhyloNetwork) -> Ultranetwork:

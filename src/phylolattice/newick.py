@@ -48,14 +48,12 @@ class NewickTree:
 
     def __post_init__(self):
         names: list[str] = []
-
-        def walk(node: NewickNode) -> None:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if node.is_leaf:
                 names.append(node.name)
-            for ch in node.children:
-                walk(ch)
-
-        walk(self.root)
+            stack.extend(reversed(node.children))
         object.__setattr__(self, "leaf_names", tuple(names))
 
 
@@ -135,24 +133,7 @@ def _read_length(c: _Cursor) -> float | None:
     return value
 
 
-def _subtree(c: _Cursor) -> NewickNode:
-    if c.peek() == "(":
-        open_col = c.i + 1
-        c.take()
-        children = [_subtree(c)]
-        while c.peek() == ",":
-            c.take()
-            children.append(_subtree(c))
-        if c.peek() != ")":
-            raise c.fail(
-                "unbalanced parentheses: '(' never closed"
-                + (" (end of input)" if c.peek() is None else ""),
-                open_col if c.peek() is None else None,
-            )
-        c.take()
-        name = _read_name(c)
-        length = _read_length(c)
-        return NewickNode(name, 1.0 if length is None else length, tuple(children))
+def _leaf(c: _Cursor) -> NewickNode:
     name_col = c.i + 1
     name = _read_name(c)
     length = _read_length(c)
@@ -162,6 +143,37 @@ def _subtree(c: _Cursor) -> NewickNode:
         raise c.fail(f"duplicate leaf name {name!r}", name_col)
     c.seen_leaves[name] = name_col
     return NewickNode(name, 1.0 if length is None else length)
+
+
+def _subtree(c: _Cursor) -> NewickNode:
+    """One subtree, read with an explicit stack of the open parentheses
+    (column, children so far), so that nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    stack: list[tuple[int, list[NewickNode]]] = []
+    while True:
+        while c.peek() == "(":
+            stack.append((c.i + 1, []))
+            c.take()
+        node = _leaf(c)
+        while stack:
+            open_col, children = stack[-1]
+            children.append(node)
+            if c.peek() == ",":
+                c.take()
+                break
+            if c.peek() != ")":
+                raise c.fail(
+                    "unbalanced parentheses: '(' never closed"
+                    + (" (end of input)" if c.peek() is None else ""),
+                    open_col if c.peek() is None else None,
+                )
+            c.take()
+            stack.pop()
+            name = _read_name(c)
+            length = _read_length(c)
+            node = NewickNode(name, 1.0 if length is None else length, tuple(children))
+        else:
+            return node
 
 
 def _parse_line(text: str, line: int) -> NewickTree:
@@ -190,24 +202,35 @@ def ultranetwork_from_newick(tree: NewickTree, ultrametrize: bool = False) -> Ul
     n = len(universe)
     m = np.zeros((n, n))
 
+    # Leaves in preorder: every subtree is a run of this order, so the
+    # entries between a child and its later siblings form one rectangle.
+    leaves: list[int] = []
     depth_of: dict[int, float] = {}
-
-    def walk(node: NewickNode, depth: float) -> list[int]:
+    lca = np.zeros((n, n))  # LCA depths above the diagonal, in leaf preorder
+    # (node, depth, run starts of its parent's children); node None closes
+    # the children whose run starts were collected
+    stack: list[tuple[NewickNode | None, float, list[int] | None]]
+    stack = [(tree.root, 0.0, None)]
+    while stack:
+        node, depth, starts = stack.pop()
+        if node is None:
+            hi = len(leaves)
+            for a, b in zip(starts, starts[1:]):
+                # U at the LCA is filled later once H is known; remember the depth
+                lca[a:b, b:hi] = depth
+            continue
+        if starts is not None:
+            starts.append(len(leaves))
         if node.is_leaf:
             i = universe.position(node.name)
             depth_of[i] = depth
-            return [i]
-        groups = [walk(ch, depth + ch.length) for ch in node.children]
-        flat = [i for g in groups for i in g]
-        # U at the LCA is filled later once H is known; remember the depth
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        m[a, b] = m[b, a] = depth
-        return flat
-
-    walk(tree.root, 0.0)
+            leaves.append(i)
+            continue
+        children: list[int] = []
+        stack.append((None, depth, children))
+        for ch in reversed(node.children):
+            stack.append((ch, depth + ch.length, children))
+    m[np.ix_(leaves, leaves)] = lca + lca.T
     height = max(depth_of.values())
     off = ~np.eye(n, dtype=bool)
     m[off] = height - m[off]
@@ -239,29 +262,40 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
     u = as_ultranetwork(u)
     m = u.matrix
     labels = u.universe.labels
+    order, joins = u.linkage
 
-    def emit(idx: list[int]) -> tuple[str, float]:
-        if len(idx) == 1:
-            i = idx[0]
-            return _quote_name(labels[i]), float(m[i, i])
-        top = float(m[np.ix_(idx, idx)].max())
-        blocks: list[list[int]] = []
-        where: dict[int, int] = {}
-        for i in idx:
-            for b, block in enumerate(blocks):
-                if m[i, block[0]] < top:
-                    block.append(i)
-                    where[i] = b
-                    break
-            else:
-                where[i] = len(blocks)
-                blocks.append([i])
-        parts = [emit(block) for block in blocks]
-        inner = ",".join(f"{txt}:{_fmt(top - h)}" for txt, h in parts)
-        return f"({inner})", top
+    def split(a: int, b: int) -> tuple[float, list[tuple[int, int]]]:
+        """Height of the clade at positions [a, b) of the linkage order and
+        its child clades, each a run cut where the clade's height was paid,
+        ordered by their smallest taxon."""
+        inner = joins[a : b - 1]  # inner[k]: entry by which position a + k + 1 joined
+        top = float(inner.max())
+        cuts = [a, *(a + 1 + int(k) for k in np.flatnonzero(inner == top)), b]
+        runs = sorted(zip(cuts, cuts[1:]), key=lambda r: order[r[0] : r[1]].min())
+        return top, runs
 
-    text, _ = emit(list(range(len(labels))))
-    return text + ";"
+    # a stack of open clades (height, child runs, texts and heights so far)
+    stack: list[tuple[float, list[tuple[int, int]], list[tuple[str, float]]]] = []
+    a, b = 0, len(labels)
+    while True:
+        if b - a > 1:
+            top, runs = split(a, b)
+            stack.append((top, runs, []))
+            a, b = runs[0]
+            continue
+        i = order[a]
+        done = _quote_name(labels[i]), float(m[i, i])
+        while stack:
+            top, runs, parts = stack[-1]
+            parts.append(done)
+            if len(parts) < len(runs):
+                a, b = runs[len(parts)]
+                break
+            stack.pop()
+            inner = ",".join(f"{txt}:{_fmt(top - h)}" for txt, h in parts)
+            done = f"({inner})", top
+        else:
+            return done[0] + ";"
 
 
 __all__ = [

@@ -58,6 +58,36 @@ def minimax_closure(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def newick_by_block_split(u) -> str:
+    """Dendrogram text by definition: a clade's height is the largest entry
+    of its block, its children are the classes of "joined below that
+    height", ordered by their smallest taxon.  Recursive; small trees only."""
+    m = u.matrix
+    labels = u.universe.labels
+
+    def emit(idx: list[int]) -> tuple[str, float]:
+        if len(idx) == 1:
+            i = idx[0]
+            name = labels[i]
+            if any(ch in "():,;' \t" for ch in name):
+                name = "'" + name.replace("'", "''") + "'"
+            return name, float(m[i, i])
+        top = float(m[np.ix_(idx, idx)].max())
+        blocks: list[list[int]] = []
+        for i in idx:
+            for block in blocks:
+                if m[i, block[0]] < top:
+                    block.append(i)
+                    break
+            else:
+                blocks.append([i])
+        parts = [emit(block) for block in blocks]
+        inner = ",".join(f"{txt}:{float(top - h)!r}" for txt, h in parts)
+        return f"({inner})", top
+
+    return emit(list(range(len(labels))))[0] + ";"
+
+
 def _pairs(diagram) -> list[tuple[float, float]]:
     return [(b, d) for b, d, m in diagram.points for _ in range(m)]
 

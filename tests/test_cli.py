@@ -18,7 +18,7 @@ from phylolattice import (
 )
 from phylolattice.cli import run
 
-from util import random_ultrametric, taxa
+from util import balanced_newick, caterpillar_newick, random_ultrametric, taxa
 
 
 @pytest.fixture
@@ -250,3 +250,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["cliquegram"])
         assert exc.value.code == 2
+
+
+class TestScale:
+    # (text, taxa, levels): caterpillar taxon i joins at height i; the
+    # balanced tree has unit branches, so its shallow leaves read as late
+    @pytest.mark.parametrize(
+        "text, n, levels",
+        [(caterpillar_newick(1200), 1200, 1200), (balanced_newick(2000), 2000, 12)],
+        ids=["caterpillar-1200", "balanced-2000"],
+    )
+    def test_large_trees_go_through_the_cli(self, tmp_path, capsys, text, n, levels):
+        path = tmp_path / "tree.nwk"
+        path.write_text(text)
+        assert run(["validate", str(path)]) == 0
+        assert f"OK: 1 tree(s) over {n} taxa" in capsys.readouterr().out
+        gram = tmp_path / "tree.json"
+        assert run(["treegram", "--newick", str(path), "-o", str(gram)]) == 0
+        assert len(json.loads(gram.read_text())["levels"]) == levels
+        mg = tmp_path / "mg.json"
+        cmd = ["mergegram", "--in", str(path), "--fast-tree-join", "--labeled"]
+        assert run(cmd + ["-o", str(mg)]) == 0
+        # one tree joins to itself: every face of its 2n - 1 clades and leaves
+        assert len(json.loads(mg.read_text())["points"]) == 2 * n - 1

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from phylolattice import (
     Graph,
     PhyloNetwork,
     TableFiltration,
+    Ultranetwork,
     VRFiltration,
     all_faces,
     cliquegram_from_network,
@@ -235,6 +237,38 @@ class TestTreegram:
         net = PhyloNetwork(taxa(3), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
         with pytest.raises(ValueError, match="strong triangle"):
             treegram_from_ultranetwork(net)
+
+    def test_equals_the_clique_sweep(self, rng):
+        # the clique sweep is the definition: maximal cliques of every
+        # sub-level graph; ties come from integer rounding, which keeps the
+        # strong triangle inequality and the diagonal bound
+        for k in range(360):
+            ts = taxa(1 + k % 14)
+            u = random_ultrametric(ts, rng, late=k % 2 == 1)
+            if k % 3 == 0:
+                u = Ultranetwork(ts, np.round(u.matrix * 3))
+            g = treegram_from_ultranetwork(u)
+            assert g == cliquegram_from_network(u)
+            assert g.lifespans == cliquegram_from_network(u).lifespans
+
+    def test_debug_line(self, caplog):
+        u = Ultranetwork(taxa(3), [[0, 1, 3], [1, 0, 3], [3, 3, 0.5]])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            treegram_from_ultranetwork(u)
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.grams"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=treegram"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["taxa", "levels", "faces", "ms"]
+        # levels at 0, 0.5, 1, 3; faces a, b, c, ab, abc
+        assert (fields["taxa"], fields["levels"], fields["faces"]) == ("3", "4", "5")
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        with caplog.at_level(logging.INFO, logger="phylolattice.grams"):
+            treegram_from_ultranetwork(random_ultrametric(taxa(5), rng))
+        assert not [r for r in caplog.records if r.name == "phylolattice.grams"]
 
     def test_is_treegram_false_on_branching_cliquegram(self):
         ts = taxa(3)

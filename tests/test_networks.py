@@ -16,6 +16,7 @@ from phylolattice import (
     vr_value,
 )
 
+from oracles import minimax_closure
 from util import random_network, random_ultrametric, taxa
 
 
@@ -146,3 +147,65 @@ def test_eq_and_hash():
     c = PhyloNetwork(taxa(2), [[0, 2], [2, 0]])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def _networks_near_ultrametric(rng, count):
+    """General networks, ultrametrics (with ties and late observation) and
+    ultrametrics with one entry nudged up or down, n from 1 to 12."""
+    for k in range(count):
+        ts = taxa(rng.randint(1, 12))
+        n = len(ts)
+        if k % 4 == 0:
+            yield random_network(ts, rng, late=k % 8 == 0)
+            continue
+        m = random_ultrametric(ts, rng, late=k % 3 == 0).matrix.copy()
+        if k % 4 == 2:
+            m = np.round(m * 4)  # monotone, so still an ultranetwork, with ties
+        if k % 4 == 3 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            nudged = m[i, j] + rng.choice((-1, 1)) * rng.uniform(0.0, 0.2)
+            m[i, j] = m[j, i] = max(nudged, m[i, i], m[j, j])
+        yield PhyloNetwork(ts, m)
+
+
+def test_single_linkage_test_matches_triple_scan(rng):
+    outcomes = []
+    for net in _networks_near_ultrametric(rng, 2400):
+        expect = next(networks._strong_triangle_violations(net.matrix), None) is None
+        assert is_ultranetwork(net) == expect
+        outcomes.append(expect)
+    assert 500 < sum(outcomes) < len(outcomes) - 500
+
+
+def test_single_linkage_test_in_blocks(rng, monkeypatch):
+    nets = list(_networks_near_ultrametric(rng, 200))
+    expect = [is_ultranetwork(net) for net in nets]
+    for block in (1, 12, 50):  # one row, one row of n=12, a few rows
+        monkeypatch.setattr(networks, "_BLOCK_ELEMENTS", block)
+        assert [is_ultranetwork(net) for net in nets] == expect
+
+
+def test_linkage_order_gives_the_minimax_values(rng):
+    # every single-linkage cluster is a run of the order, so the minimax
+    # path value between order[i] and order[j] is the largest join between
+    for net in _networks_near_ultrametric(rng, 120):
+        order, joins = networks._single_linkage(net.matrix)
+        n = len(order)
+        assert sorted(order) == list(range(n))
+        closure = minimax_closure(net.matrix)
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert closure[order[i], order[j]] == joins[i:j].max()
+
+
+def test_ultrametric_check_scales_to_two_thousand_taxa():
+    n = 2000
+    idx = np.arange(n)
+    _, height = np.frexp(np.bitwise_xor.outer(idx, idx).astype(float))
+    labels = TaxaSet([f"t{i}" for i in range(n)])
+    assert is_ultranetwork(PhyloNetwork(labels, height.astype(float)))
+    height[0, 1] = height[1, 0] = 5.0  # one pair above the tree's join of 1.0
+    with pytest.raises(NetworkValidationError) as err:
+        Ultranetwork(labels, height.astype(float))
+    assert err.value.violations[0] == "strong triangle fails at (t0,t2,t1)"
+    assert len(err.value.violations) == 10

@@ -11,7 +11,8 @@ from phylolattice import (
     ultranetwork_from_newick,
 )
 
-from util import random_ultrametric, taxa
+from oracles import newick_by_block_split
+from util import caterpillar_newick, random_ultrametric, taxa
 
 
 def one(text):
@@ -117,11 +118,49 @@ class TestParseErrors:
             parse_newick("(a,b);\n(c,c);")
 
 
+class TestDeepTrees:
+    def test_caterpillar_of_1200_taxa(self):
+        n = 1200
+        tree = one(caterpillar_newick(n))
+        assert tree.leaf_names == tuple(f"t{i:04d}" for i in range(n))
+        u = ultranetwork_from_newick(tree)
+        idx = np.arange(n)
+        expect = np.maximum.outer(idx, idx).astype(float)
+        np.fill_diagonal(expect, 0.0)
+        expect[0, 1] = expect[1, 0] = 1.0
+        assert np.array_equal(u.matrix, expect)
+        again = ultranetwork_from_newick(one(newick_from_ultranetwork(u)))
+        assert np.array_equal(again.matrix, u.matrix)
+
+    def test_unclosed_deep_nesting_is_positioned(self):
+        with pytest.raises(
+            NewickError,
+            match=r"^line 1, column 1500: unbalanced parentheses: "
+            r"'\(' never closed \(end of input\)$",
+        ):
+            parse_newick("(" * 1500 + "a")
+
+    def test_error_deep_inside_is_positioned(self):
+        text = "(" * 1500 + "a,(b,a)" + ")" * 1500 + ";"
+        with pytest.raises(NewickError, match=r"^line 1, column 1506: duplicate leaf"):
+            parse_newick(text)
+
+
 class TestWriter:
     def test_canonical_output(self):
         ts = TaxaSet(["x", "y", "z"])
         u = Ultranetwork(ts, [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
         assert newick_from_ultranetwork(u) == "((x:1.0,y:1.0):2.0,z:3.0);"
+
+    def test_matches_block_split_definition(self, rng):
+        # children in order of their smallest taxon, whatever order the
+        # linkage pass visited them in; ties and late observation included
+        for k in range(300):
+            ts = TaxaSet([f"x{i}" for i in rng.sample(range(50), 1 + k % 12)])
+            u = random_ultrametric(ts, rng, late=k % 2 == 1)
+            if k % 3 == 0:
+                u = Ultranetwork(ts, np.round(u.matrix * 3))
+            assert newick_from_ultranetwork(u) == newick_by_block_split(u)
 
     def test_round_trip(self, rng):
         for n in (2, 3, 5, 6):

@@ -85,6 +85,23 @@ class TestFaceSet:
         with pytest.raises(ValueError, match="duplicate"):
             FaceSet(ts, [0b11, 0b11])
 
+    def test_overlapping_families_are_still_checked(self):
+        # disjoint faces skip the pairwise check; overlapping ones take it
+        ts = taxa(4)
+        assert FaceSet(ts, [0b0011, 0b1100]).faces == (0b0011, 0b1100)
+        assert FaceSet(ts, [0b0011, 0b0110, 0b1100]).faces == (0b0011, 0b0110, 0b1100)
+        with pytest.raises(ValueError, match=r"^duplicate face 0b110$"):
+            FaceSet(ts, [0b0001, 0b0110, 0b0110])
+        with pytest.raises(
+            ValueError, match=r"^not an antichain: 0b1 is contained in 0b11$"
+        ):
+            FaceSet(ts, [0b1100, 0b0011, 0b0001])
+
+    def test_face_check_comes_before_the_antichain_check(self):
+        ts = taxa(3)
+        with pytest.raises(ValueError, match="bits outside the universe"):
+            FaceSet(ts, [0b11, 0b11, 0b1000])
+
     def test_covers_and_support(self):
         ts = taxa(3)
         fs = FaceSet.from_names(ts, [["a", "b"], ["c"]])

@@ -71,3 +71,23 @@ def random_monotone_table(ts, rng):
             sub = (sub - 1) & m
         value[m] = v
     return TableFiltration(ts, value)
+
+
+def caterpillar_newick(n: int) -> str:
+    """One-line Newick text of an n-leaf caterpillar: taxon i joins at height i."""
+    text = "t0000:1"
+    for i in range(1, n):
+        text = f"({text},t{i:04d}:{i})" + (":1" if i < n - 1 else "")
+    return text + ";\n"
+
+
+def balanced_newick(n: int) -> str:
+    """One-line Newick text of a balanced binary tree with unit branches."""
+
+    def clade(lo: int, hi: int) -> str:
+        if hi - lo == 1:
+            return f"t{lo:04d}"
+        mid = (lo + hi) // 2
+        return f"({clade(lo, mid)},{clade(mid, hi)})"
+
+    return clade(0, n) + ";\n"
