@@ -180,7 +180,18 @@ def maximal_cliques(graph: Graph) -> tuple[int, ...]:
     cliques.  Deterministic: the pivot is the first candidate maximizing
     coverage, and candidates are scanned in increasing bit order.
     """
-    adj = graph.adj
+    if not graph.vertices:
+        return ()
+    return canonical_faces(bron_kerbosch(graph.adj, graph.vertices, 0))
+
+
+def bron_kerbosch(adj: Sequence[int], p: int, x: int) -> list[int]:
+    """Maximal cliques of the graph ``adj`` that lie inside ``p`` and that
+    no vertex of ``x`` extends, in discovery order.
+
+    With ``p | x`` all vertices, these are the maximal cliques of the whole
+    graph that ``p`` contains.  ``p`` must be non-empty.
+    """
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -194,9 +205,8 @@ def maximal_cliques(graph: Graph) -> tuple[int, ...]:
             p &= ~mv
             x |= mv
 
-    if graph.vertices:
-        expand(0, graph.vertices, 0)
-    return canonical_faces(out)
+    expand(0, p, x)
+    return out
 
 
 def _require_common_universe(parts: Sequence[FaceSet]) -> TaxaSet:

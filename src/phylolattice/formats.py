@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
-from typing import Mapping, Sequence
+import time
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +24,9 @@ from .grams import KINDS, Gram
 from .mergegram import Interval, LabeledMergegram, Mergegram, PersistenceDiagram
 from .networks import PhyloNetwork, validate_network
 from .reeb import ReebGraph
-from .taxa import TaxaSet
+from .taxa import TaxaSet, bits
+
+log = logging.getLogger(__name__)
 
 FORMAT = "phylolattice/1"
 
@@ -66,6 +71,47 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# The writers below emit the bytes of ``_dumps`` without its pure-Python
+# indenting encoder: each label is quoted once and each distinct face's
+# text is built once, then reused wherever the face is listed.
+
+def _array(items: Sequence[str], indent: str) -> str:
+    """``_dumps`` text of a list whose items are already indented."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _number(v) -> str:
+    """``_dumps`` text of an int or float."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    return int.__repr__(v)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _FaceTexts(dict):
+    """Face mask -> ``_dumps`` text of its name list, built on first use:
+    ``lead``, then the list with its items two spaces deeper than
+    ``indent``.  The masks are faces of a validated value."""
+
+    __slots__ = ("items", "indent", "lead")
+
+    def __init__(self, universe: TaxaSet, indent: str, lead: str = ""):
+        super().__init__()
+        self.items = [indent + "  " + _quote(s) for s in universe.labels]
+        self.indent = indent
+        self.lead = lead
+
+    def __missing__(self, mask: int) -> str:
+        items = self.items
+        text = self[mask] = self.lead + _array([items[i] for i in bits(mask)], self.indent)
+        return text
+
+
 def _load(text: str, want: str | Sequence[str]) -> dict:
     try:
         doc = json.loads(text)
@@ -94,21 +140,36 @@ def _death_in(v) -> float:
 
 
 def gram_json(g: Gram) -> str:
-    return _dumps(
-        {
-            "format": FORMAT,
-            "type": "gram",
-            "kind": g.kind,
-            "taxa": list(g.universe.labels),
-            "levels": [
-                {"t": t, "faces": [list(g.universe.names_of(m)) for m in fs.faces]}
-                for t, fs in g.levels
-            ],
-        }
+    t0 = time.perf_counter()
+    faces = _FaceTexts(g.universe, " " * 8, lead=" " * 8)
+    levels = [
+        '    {\n      "faces": '
+        + _array([faces[m] for m in fs.faces], "      ")
+        + ',\n      "t": '
+        + float.__repr__(t)
+        + "\n    }"
+        for t, fs in g.levels
+    ]
+    text = (
+        '{\n  "format": ' + _quote(FORMAT)
+        + ',\n  "kind": ' + _quote(g.kind)
+        + ',\n  "levels": ' + _array(levels, "  ")
+        + ',\n  "taxa": ' + _array(["    " + _quote(s) for s in g.universe.labels], "  ")
+        + ',\n  "type": "gram"\n}\n'
     )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=gram_json levels=%d faces=%d bytes=%d ms=%.3f",
+            len(g.levels),
+            len(g.lifespans),
+            len(text),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return text
 
 
 def parse_gram_json(text: str) -> Gram:
+    t0 = time.perf_counter()
     doc = _load(text, "gram")
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -117,13 +178,31 @@ def parse_gram_json(text: str) -> Gram:
     if not isinstance(taxa, list) or not all(isinstance(s, str) for s in taxa):
         raise ValueError('"taxa" must be a list of strings')
     universe = TaxaSet(taxa)
+    masks: dict[tuple, int] = {}  # a face's name list -> its mask, per document
+
+    def mask_of(names: Iterable[str]) -> int:
+        key = tuple(names)
+        mask = masks.get(key)
+        if mask is None:
+            mask = masks[key] = universe.mask_of(key)
+        return mask
+
     levels = []
     for item in doc.get("levels", ()):
         if not isinstance(item, dict) or "t" not in item or "faces" not in item:
             raise ValueError('each level needs "t" and "faces"')
-        fs = FaceSet.from_names(universe, item["faces"])
+        fs = FaceSet(universe, [mask_of(names) for names in item["faces"]])
         levels.append((float(item["t"]), fs))
-    return Gram(universe, levels, kind)
+    g = Gram(universe, levels, kind)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=parse_gram_json levels=%d faces=%d bytes=%d ms=%.3f",
+            len(g.levels),
+            len(g.lifespans),
+            len(text.encode()),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return g
 
 
 def mergegram_json(m: Mergegram | PersistenceDiagram) -> str:
@@ -140,24 +219,23 @@ def mergegram_json(m: Mergegram | PersistenceDiagram) -> str:
 
 
 def labeled_mergegram_json(lm: LabeledMergegram) -> str:
-    return _dumps(
-        {
-            "format": FORMAT,
-            "type": "labeled-mergegram",
-            "taxa": list(lm.universe.labels),
-            "points": [
-                {
-                    "birth": iv.birth,
-                    "death": _death_out(iv.death),
-                    "mult": 1,
-                    "label": list(lm.universe.names_of(mask)),
-                }
-                for mask, iv in sorted(
-                    lm.entries.items(),
-                    key=lambda kv: (kv[1].birth, kv[1].death, kv[0]),
-                )
-            ],
-        }
+    labels = _FaceTexts(lm.universe, " " * 6)
+    points = [
+        '    {\n      "birth": ' + _number(iv.birth)
+        + ',\n      "death": '
+        + ('"inf"' if math.isinf(iv.death) else _number(iv.death))
+        + ',\n      "label": ' + labels[mask]
+        + ',\n      "mult": 1\n    }'
+        for mask, iv in sorted(
+            lm.entries.items(),
+            key=lambda kv: (kv[1].birth, kv[1].death, kv[0]),
+        )
+    ]
+    return (
+        '{\n  "format": ' + _quote(FORMAT)
+        + ',\n  "points": ' + _array(points, "  ")
+        + ',\n  "taxa": ' + _array(["    " + _quote(s) for s in lm.universe.labels], "  ")
+        + ',\n  "type": "labeled-mergegram"\n}\n'
     )
 
 
@@ -191,10 +269,14 @@ def reeb_dot(r: ReebGraph) -> str:
         for k in range(r.vertex_counts[i]):
             lines.append(f'  v{i}_{k} [label="t={t:g}"];')
     lines.append('  top [label="inf", shape=plaintext];')
+    labels = r.universe.labels
+    names: dict[int, str] = {}
     n = len(r.criticals)
     for i in range(n):
         for mask in r.edge_sets[i]:
-            name = "{" + ",".join(r.universe.names_of(mask)) + "}"
+            name = names.get(mask)
+            if name is None:
+                name = names[mask] = "{" + ",".join(labels[j] for j in bits(mask)) + "}"
             a = f"v{i}_{r.down[i][mask]}"
             if i < n - 1:
                 b = f"v{i + 1}_{r.up[i][mask]}"

@@ -8,13 +8,23 @@ algorithmic paths it is meant to check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from phylolattice import Graph, Interval, LabeledMergegram, TaxaSet, bits, faceset_leq
+from phylolattice import (
+    Graph,
+    Interval,
+    LabeledMergegram,
+    TaxaSet,
+    bits,
+    faceset_leq,
+    is_pair_cover_closed,
+    is_subpartition,
+)
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -271,3 +281,80 @@ def join_mergegram_by_scan(ultras) -> LabeledMergegram:
         if birth < death:
             entries[m] = Interval(birth, death)
     return LabeledMergegram(universe, entries)
+
+
+def first_non_clique_set_level(levels) -> float | None:
+    """The first critical value whose level is not a clique-set, by a full
+    cover-graph build and maximal-clique enumeration on every level."""
+    for t, fs in levels:
+        if not is_subpartition(fs) and not is_pair_cover_closed(fs):
+            return t
+    return None
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _death_out(d: float):
+    return "inf" if math.isinf(d) else d
+
+
+def gram_json_by_dumps(g) -> str:
+    """Gram JSON through ``json.dumps``, naming every face on every level."""
+    return _dumps(
+        {
+            "format": "phylolattice/1",
+            "type": "gram",
+            "kind": g.kind,
+            "taxa": list(g.universe.labels),
+            "levels": [
+                {"t": t, "faces": [list(g.universe.names_of(m)) for m in fs.faces]}
+                for t, fs in g.levels
+            ],
+        }
+    )
+
+
+def labeled_mergegram_json_by_dumps(lm) -> str:
+    """Labeled-mergegram JSON through ``json.dumps``, one ``names_of`` per entry."""
+    return _dumps(
+        {
+            "format": "phylolattice/1",
+            "type": "labeled-mergegram",
+            "taxa": list(lm.universe.labels),
+            "points": [
+                {
+                    "birth": iv.birth,
+                    "death": _death_out(iv.death),
+                    "mult": 1,
+                    "label": list(lm.universe.names_of(mask)),
+                }
+                for mask, iv in sorted(
+                    lm.entries.items(),
+                    key=lambda kv: (kv[1].birth, kv[1].death, kv[0]),
+                )
+            ],
+        }
+    )
+
+
+def reeb_dot_by_names_of(r) -> str:
+    """Reeb DOT text, naming every edge's face with ``names_of``."""
+    lines = ["graph reeb {", "  rankdir=BT;"]
+    for i, t in enumerate(r.criticals):
+        for k in range(r.vertex_counts[i]):
+            lines.append(f'  v{i}_{k} [label="t={t:g}"];')
+    lines.append('  top [label="inf", shape=plaintext];')
+    n = len(r.criticals)
+    for i in range(n):
+        for mask in r.edge_sets[i]:
+            name = "{" + ",".join(r.universe.names_of(mask)) + "}"
+            a = f"v{i}_{r.down[i][mask]}"
+            if i < n - 1:
+                b = f"v{i + 1}_{r.up[i][mask]}"
+                lines.append(f'  {a} -- {b} [label="{name}"];')
+            else:
+                lines.append(f'  {a} -- top [label="{name}", style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

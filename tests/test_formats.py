@@ -1,9 +1,13 @@
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from phylolattice import (
+    FaceSet,
+    Gram,
     Interval,
     LabeledMergegram,
     Mergegram,
@@ -22,10 +26,37 @@ from phylolattice import (
     parse_mergegram_json,
     reeb_dot,
     serialize_matrix_csv,
+    TaxaSet,
+    join_grams,
     treegram_from_ultranetwork,
 )
 
+from oracles import (
+    gram_json_by_dumps,
+    labeled_mergegram_json_by_dumps,
+    reeb_dot_by_names_of,
+)
 from util import random_network, random_ultrametric, taxa
+
+# quotes, backslashes, control characters, non-ASCII and a surrogate pair
+ODD_LABELS = ('say "hi"', "back\\slash", "tab\tnew\nline\x00", "café", "漢字", "\u2028", "🦎")
+
+
+def _odd_universe(n):
+    return TaxaSet(ODD_LABELS[:n])
+
+
+def _grams_of_every_kind(rng):
+    for k in range(30):
+        ts = taxa(1 + k % 6) if k % 2 else _odd_universe(1 + k % 7)
+        net = random_network(ts, rng, late=k % 3 == 0)
+        trees = [
+            treegram_from_ultranetwork(random_ultrametric(ts, rng, late=k % 4 == 0))
+            for _ in range(2)
+        ]
+        yield cliquegram_from_network(net)
+        yield trees[0]
+        yield join_grams(trees, "facegram")
 
 INF = math.inf
 
@@ -103,6 +134,79 @@ class TestGramJSON:
         with pytest.raises(ValueError, match='needs "t" and "faces"'):
             parse_gram_json(doc)
 
+    def test_writer_matches_json_dumps(self, rng):
+        kinds = set()
+        for g in _grams_of_every_kind(rng):
+            kinds.add(g.kind)
+            assert gram_json(g) == gram_json_by_dumps(g)
+        assert kinds == {"cliquegram", "treegram", "facegram"}
+
+    def test_writer_on_odd_levels_and_values(self):
+        ts = _odd_universe(3)
+        a, b, c = 1, 2, 4
+        levels = [
+            (-0.0, FaceSet(ts, ())),  # an empty level
+            (1e-300, FaceSet(ts, [a, b])),
+            (1.0, FaceSet(ts, [a | b, c])),
+            (1e20, FaceSet(ts, [a | b | c])),
+        ]
+        for kind in ("facegram", "treegram"):
+            g = Gram(ts, levels, kind)
+            text = gram_json(g)
+            assert text == gram_json_by_dumps(g)
+            assert '"t": -0.0' in text and '"t": 1e+20' in text and '"faces": []' in text
+            assert parse_gram_json(text) == g
+
+    @pytest.mark.parametrize(
+        "faces, error, message",
+        [
+            ([["z"]], KeyError, "\"unknown taxon 'z'\""),
+            ([1], TypeError, "'int' object is not iterable"),
+            (5, TypeError, "'int' object is not iterable"),
+            ([[["a"]]], TypeError, "unhashable type: 'list'"),
+            ([["a"], ["a"]], ValueError, "duplicate face 0b1"),
+            ([["a"], ["a", "b"]], ValueError, "not an antichain: 0b1 is contained in 0b11"),
+            ([[]], ValueError, "face must be a non-empty bitmask, got 0"),
+        ],
+    )
+    def test_face_errors_keep_type_and_message(self, faces, error, message):
+        doc = json.dumps(
+            {
+                "format": "phylolattice/1",
+                "type": "gram",
+                "kind": "facegram",
+                "taxa": ["a", "b"],
+                "levels": [{"t": 0, "faces": faces}, {"t": 1, "faces": [["a", "b"]]}],
+            }
+        )
+        with pytest.raises(error) as err:
+            parse_gram_json(doc)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_debug_lines(self, caplog, rng):
+        g = cliquegram_from_network(random_network(taxa(4), rng, late=True))
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.formats"):
+            text = gram_json(g)
+            parse_gram_json(text)
+        records = [r for r in caplog.records if r.name == "phylolattice.formats"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        for record, stage in zip(records, ("stage=gram_json", "stage=parse_gram_json")):
+            first, *pairs = record.getMessage().split()
+            assert first == stage
+            fields = dict(p.split("=") for p in pairs)
+            assert list(fields) == ["levels", "faces", "bytes", "ms"]
+            assert int(fields["levels"]) == len(g.levels)
+            assert int(fields["faces"]) == len(g.lifespans)
+            assert int(fields["bytes"]) == len(text.encode())
+            assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        g = cliquegram_from_network(random_network(taxa(4), rng))
+        with caplog.at_level(logging.INFO, logger="phylolattice.formats"):
+            parse_gram_json(gram_json(g))
+        assert not [r for r in caplog.records if r.name == "phylolattice.formats"]
+
     def test_gram_rules_still_apply(self):
         doc = (
             '{"format": "phylolattice/1", "type": "gram", "kind": "facegram",'
@@ -132,6 +236,24 @@ class TestMergegramJSON:
         )
         back = parse_mergegram_json(labeled_mergegram_json(lm))
         assert back == lm
+
+    def test_labeled_writer_matches_json_dumps(self, rng):
+        for g in _grams_of_every_kind(rng):
+            lm = labeled_mergegram(g)
+            assert labeled_mergegram_json(lm) == labeled_mergegram_json_by_dumps(lm)
+        ts = _odd_universe(7)
+        odd = LabeledMergegram(
+            ts,
+            {
+                0b0000001: Interval(0, 1),
+                0b0000010: Interval(-0.0, 1e-300),
+                0b0000100: Interval(-INF, 2.5),
+                0b0011000: Interval(1, 1e20),
+                0b1111111: Interval(2, INF),
+            },
+        )
+        for lm in (odd, LabeledMergegram(ts, {})):
+            assert labeled_mergegram_json(lm) == labeled_mergegram_json_by_dumps(lm)
 
     def test_infinite_death_encoding(self):
         text = mergegram_json(Mergegram([(0, INF)]))
@@ -174,6 +296,11 @@ class TestReebDot:
         for i, count in enumerate(r.vertex_counts):
             for k in range(count):
                 assert f"v{i}_{k} " in dot
+
+    def test_matches_names_of_writer(self, rng):
+        for g in _grams_of_every_kind(rng):
+            r = face_reeb_graph(g)
+            assert reeb_dot(r) == reeb_dot_by_names_of(r)
 
 
 class TestSVG:

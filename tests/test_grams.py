@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from phylolattice import grams
 from phylolattice import (
     FaceSet,
     Gram,
@@ -25,9 +26,16 @@ from phylolattice import (
     squash_to_cliquegram,
     treegram_from_ultranetwork,
     Surjection,
+    TaxaSet,
+    is_subpartition,
+    maximal_masks,
 )
 
-from oracles import enumerate_maximal_cliques, gram_leq_by_levels
+from oracles import (
+    enumerate_maximal_cliques,
+    first_non_clique_set_level,
+    gram_leq_by_levels,
+)
 from util import gram_of, random_network, random_ultrametric, taxa
 
 
@@ -176,6 +184,147 @@ def test_lifespans_follow_the_levels():
     }
 
 
+def _monotone_levels(ts, rng):
+    """Refinement-monotone levels up to the full face: each step adds one
+    to three random masks, mostly small ones, and keeps the maximal masks,
+    so that runs of subpartition levels come before overlapping ones."""
+    n = len(ts)
+    faces: tuple[int, ...] = ()
+    levels = []
+    t = 0.0
+    while faces != (ts.full_mask,):
+        adds = []
+        for _ in range(rng.randint(1, 3)):
+            size = min(rng.randint(1, n), rng.randint(1, n))
+            adds.append(sum(1 << i for i in rng.sample(range(n), size)))
+        grown = maximal_masks(faces + tuple(adds))
+        if grown != faces:
+            faces = grown
+            levels.append((t, FaceSet(ts, faces)))
+        t += rng.choice((0.5, 1.0))
+    return levels
+
+
+def _clique_message(t):
+    return f"cliquegram level at t={t!r} is not a clique-set"
+
+
+class TestCliqueSetCheck:
+    """The incremental clique-set check of ``Gram`` and ``join_grams``
+    against a full maximal-clique enumeration on every level."""
+
+    def test_matches_the_full_check(self):
+        rng = random.Random(60)
+        outcomes = {True: 0, False: 0}
+        rebuilt = 0  # overlapping levels after a subpartition with a pair in a face
+        for k in range(2400):
+            ts = taxa(1 + k % 10)
+            levels = _monotone_levels(ts, rng)
+            expect = first_non_clique_set_level(levels)
+            outcomes[expect is None] += 1
+            face_gram = Gram(ts, levels, "facegram")
+            if expect is None:
+                assert Gram(ts, levels, "cliquegram") == face_gram
+                assert join_grams([face_gram], "cliquegram") == face_gram
+            else:
+                with pytest.raises(ValueError) as err:
+                    Gram(ts, levels, "cliquegram")
+                assert str(err.value) == _clique_message(expect)
+                with pytest.raises(ValueError) as err:
+                    join_grams([face_gram], "cliquegram")
+                assert str(err.value) == (
+                    f"cliquegram join requires clique-set levels (t={expect!r})"
+                )
+            for (_, a), (t, b) in zip(levels, levels[1:]):
+                if expect is not None and t > expect:
+                    break
+                if is_subpartition(a) and not is_subpartition(b):
+                    rebuilt += any(m & (m - 1) for m in a.faces)
+        assert min(outcomes.values()) >= 500, outcomes
+        assert rebuilt >= 500
+
+    def test_refinement_error_takes_precedence(self):
+        ts = taxa(4)
+        levels = [
+            (0.0, fs(ts, "ab", "bc", "ac")),  # not a clique-set
+            (1.0, fs(ts, "abc", "d")),
+            (2.0, fs(ts, "abc")),  # d vanishes uncovered
+            (3.0, fs(ts, "abcd")),
+        ]
+        with pytest.raises(ValueError, match="refinement-monotone at t=2.0"):
+            Gram(ts, levels, "cliquegram")
+        with pytest.raises(ValueError, match="full face"):
+            Gram(ts, levels[:2], "cliquegram")
+        with pytest.raises(ValueError, match=_clique_message(0.0)):
+            Gram(ts, levels[:2] + levels[3:], "cliquegram")
+
+    def test_enumeration_sees_the_whole_graph(self):
+        # the pairs ab and ef each lie in two faces, so the enumeration runs
+        # on their common neighbourhoods abcd and efgh; cg is maximal there,
+        # but i outside it extends cg to the face cgi
+        ts = taxa(9)
+        levels = [
+            (0.0, fs(ts, "abc", "abd", "efg", "efh", "cgi")),
+            (1.0, fs(ts, "abcdefghi")),
+        ]
+        assert first_non_clique_set_level(levels) is None
+        Gram(ts, levels, "cliquegram")
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+        enumerate_cliques = grams.bron_kerbosch
+
+        def counting(adj, p, x):
+            calls.append(p)
+            return enumerate_cliques(adj, p, x)
+
+        monkeypatch.setattr(grams, "bron_kerbosch", counting)
+        return calls
+
+    def test_one_enumeration_per_overlapping_level(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        rng = random.Random(61)
+        enumerated = 0
+        for k in range(1000):
+            ts = taxa(1 + k % 10)
+            levels = _monotone_levels(ts, rng)
+            top = [(levels[-1][0] + 1.0, FaceSet(ts, [ts.full_mask]))]
+            before = 0
+            for i, (_, level) in enumerate(levels[:-1]):
+                # the check is sequential, so the calls of a prefix topped
+                # by the full face are those of its levels in the whole gram
+                del calls[:]
+                try:
+                    Gram(ts, levels[: i + 1] + top, "cliquegram")
+                except ValueError:
+                    break
+                added = len(calls) - before
+                assert added <= 1
+                assert added == 0 or not is_subpartition(level)
+                enumerated += added
+                before = len(calls)
+        assert enumerated >= 100
+
+    def test_large_overlapping_faces(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        ts = TaxaSet(f"t{i:04d}" for i in range(1200))
+        low, high = (1 << 800) - 1, ((1 << 800) - 1) << 400
+        top = FaceSet(ts, [ts.full_mask])
+        g = Gram(ts, [(0.0, FaceSet(ts, [low, high])), (1.0, top)], "cliquegram")
+        assert g.lifespans[low] == (0.0, 1.0)
+        assert len(calls) == 1
+        # a 1,199-taxon face beside a pair that overlaps it needs no enumeration
+        big, pair = (1 << 1199) - 1, 1 | 1 << 1199
+        Gram(ts, [(0.0, FaceSet(ts, [big, pair])), (1.0, top)], "cliquegram")
+        assert len(calls) == 1
+
+    def test_subpartition_levels_need_no_enumeration(self, monkeypatch, rng):
+        calls = self._count_calls(monkeypatch)
+        u = random_ultrametric(taxa(12), rng, late=True)
+        treegram_from_ultranetwork(u).with_kind("cliquegram")
+        assert calls == []
+
+
 class TestCliquegramFromNetwork:
     def test_levels_match_clique_oracle(self, rng):
         for n in (2, 4, 6):
@@ -211,6 +360,25 @@ class TestCliquegramFromNetwork:
             for _ in range(15):
                 g = cliquegram_from_network(random_network(ts, rng))
                 assert cliquegram_from_network(network_from_cliquegram(g)) == g
+
+    def test_debug_line(self, caplog):
+        net = PhyloNetwork(taxa(3), [[0, 1, 2], [1, 0, 1], [2, 1, 0.5]])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            cliquegram_from_network(net)
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.grams"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=cliquegram"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["taxa", "levels", "faces", "ms"]
+        # levels at 0, 0.5, 1, 2; faces a, b, c, ab, bc, abc
+        assert (fields["taxa"], fields["levels"], fields["faces"]) == ("3", "4", "6")
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        with caplog.at_level(logging.INFO, logger="phylolattice.grams"):
+            cliquegram_from_network(random_network(taxa(5), rng, late=True))
+        assert not [r for r in caplog.records if r.name == "phylolattice.grams"]
 
     def test_merge_tol_snaps_to_cluster_minimum(self):
         ts = taxa(2)

@@ -1,5 +1,6 @@
-"""Property tests for the lattice laws on seeded treegram families, and
-for the bottleneck metric on small diagrams."""
+"""Property tests for the lattice laws on seeded treegram families, for
+the network-cliquegram round trip through gram JSON, and for the
+bottleneck metric on small diagrams."""
 
 import math
 import random
@@ -9,13 +10,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from phylolattice import (
     Mergegram,
+    PhyloNetwork,
     bottleneck_distance,
     bottleneck_matching,
+    cliquegram_from_network,
+    gram_json,
     join_grams,
     join_mergegram_of_treegrams,
     labeled_mergegram,
+    network_from_cliquegram,
+    parse_gram_json,
     squash_to_cliquegram,
     treegram_from_ultranetwork,
 )
@@ -72,6 +80,32 @@ def test_fast_tree_join_equals_materialized_and_scan_joins(ultras):
     grams = [treegram_from_ultranetwork(u) for u in ultras]
     assert fast == labeled_mergegram(join_grams(grams, "facegram"))
     assert fast == join_mergegram_by_scan(ultras)
+
+
+# a coarse grid, so that entries tie
+ENTRY = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def networks(draw):
+    """Networks of 1..7 taxa on a coarse grid, some observed late: an
+    off-diagonal entry is at least both of its diagonal entries."""
+    ts = taxa(draw(st.integers(1, 7)))
+    n = len(ts)
+    late = draw(st.booleans())
+    diag = [draw(ENTRY) if late else 0.0 for _ in range(n)]
+    m = np.diag(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = max(draw(ENTRY), diag[i], diag[j])
+    return PhyloNetwork(ts, m)
+
+
+@LAWS
+@given(networks())
+def test_network_cliquegram_round_trip_through_json(net):
+    text = gram_json(cliquegram_from_network(net))
+    assert network_from_cliquegram(parse_gram_json(text)) == net
 
 
 METRIC = settings(derandomize=True, database=None, deadline=None, max_examples=150)
