@@ -176,9 +176,9 @@ class Graph:
 def maximal_cliques(graph: Graph) -> tuple[int, ...]:
     """All maximal cliques of ``graph`` as masks, canonically ordered.
 
-    Pivoted recursive expansion; isolated vertices come out as singleton
-    cliques.  Deterministic: the pivot is the first candidate maximizing
-    coverage, and candidates are scanned in increasing bit order.
+    Pivoted Bron-Kerbosch expansion; isolated vertices come out as
+    singleton cliques.  Deterministic: the pivot is the first candidate
+    maximizing coverage, and candidates are scanned in increasing bit order.
     """
     if not graph.vertices:
         return ()
@@ -190,22 +190,32 @@ def bron_kerbosch(adj: Sequence[int], p: int, x: int) -> list[int]:
     no vertex of ``x`` extends, in discovery order.
 
     With ``p | x`` all vertices, these are the maximal cliques of the whole
-    graph that ``p`` contains.  ``p`` must be non-empty.
+    graph that ``p`` contains.  ``p`` must be non-empty.  The expansion
+    keeps an explicit stack of frames, one per clique vertex, so cliques of
+    any size are found without recursion.
     """
-    out: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
+    def branches(p: int, x: int) -> int:
         pivot = max(bits(p | x), key=lambda u: (p & adj[u]).bit_count())
-        for v in bits(p & ~adj[pivot]):
-            mv = 1 << v
-            expand(r | mv, p & adj[v], x & adj[v])
-            p &= ~mv
-            x |= mv
+        return p & ~adj[pivot]
 
-    expand(0, p, x)
+    out: list[int] = []
+    # frame: clique, candidates, excluded, branch vertices not yet tried
+    stack = [[0, p, x, branches(p, x)]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, untried = frame
+        if not untried:
+            stack.pop()
+            continue
+        mv = untried & -untried
+        v = mv.bit_length() - 1
+        frame[1], frame[2], frame[3] = p & ~mv, x | mv, untried ^ mv
+        p, x = p & adj[v], x & adj[v]
+        if p:
+            stack.append([r | mv, p, x, branches(p, x)])
+        elif not x:
+            out.append(r | mv)
     return out
 
 

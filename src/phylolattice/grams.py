@@ -19,7 +19,6 @@ import numpy as np
 
 from .faces import (
     FaceSet,
-    Graph,
     bron_kerbosch,
     cover_graph,
     is_subpartition,
@@ -33,7 +32,7 @@ from .filtrations import (
     VRFiltration,
     all_faces,
 )
-from .networks import PhyloNetwork, Ultranetwork, as_ultranetwork
+from .networks import PhyloNetwork, Ultranetwork, as_ultranetwork, network_join
 from .taxa import TaxaSet, bits
 
 log = logging.getLogger(__name__)
@@ -231,43 +230,37 @@ def _coalesce(values: np.ndarray, tol: float) -> list[float]:
     return out
 
 
-def _snap_matrix(matrix: np.ndarray, reps: list[float]) -> np.ndarray:
-    """Replace every entry by the representative of its value cluster."""
-    reps_arr = np.array(reps)
-    idx = np.searchsorted(reps_arr, matrix, side="right") - 1
-    return reps_arr[idx]
-
-
-def _threshold_graph(universe: TaxaSet, matrix: np.ndarray, eps: float) -> Graph:
-    n = matrix.shape[0]
-    diag = np.diag(matrix)
-    vertex_ok = diag <= eps
-    vertices = 0
-    for i in np.nonzero(vertex_ok)[0]:
-        vertices |= 1 << int(i)
-    close = (matrix <= eps) & np.outer(vertex_ok, vertex_ok)
-    np.fill_diagonal(close, False)
-    adj = [0] * n
-    for i, j in zip(*np.nonzero(close)):
-        adj[int(i)] |= 1 << int(j)
-    return Graph(universe, vertices, adj)
-
-
 def _clique_levels(net: PhyloNetwork, merge_tol: float) -> list[tuple[float, FaceSet]]:
-    """Sweep the sub-level graphs of ``net``: one level per change of cliques."""
-    universe = net.universe
-    matrix = net.matrix
-    values = _coalesce(np.unique(matrix), merge_tol)
-    if merge_tol > 0:
-        matrix = _snap_matrix(matrix, values)
+    """Sweep the sub-level graphs of ``net``: one level per coalesced value.
+
+    One threshold graph grows through the upper triangle in sorted order,
+    a value's entries being those from it up to the next value: a diagonal
+    entry observes its taxon, an off-diagonal entry adds its edge.  An
+    entry bounds both diagonal entries, so both ends of an edge are
+    vertices by the time it arrives.  Every value adds a vertex or an edge,
+    so every value changes the cliques, and the smallest value is a
+    diagonal entry, so no level is empty.
+    """
+    n = len(net.universe)
+    values = _coalesce(np.unique(net.matrix), merge_tol)
+    rows, cols = np.triu_indices(n)
+    entries = net.matrix[rows, cols]
+    order = np.argsort(entries)
+    ends = np.searchsorted(entries[order], values[1:]).tolist() + [len(order)]
+    rows, cols = rows[order].tolist(), cols[order].tolist()
+    adj = [0] * n
+    vertices = 0
     levels: list[tuple[float, FaceSet]] = []
-    for eps in values:
-        fs = FaceSet(universe, maximal_cliques(_threshold_graph(universe, matrix, eps)))
-        if fs.is_empty:
-            continue
-        if levels and levels[-1][1] == fs:
-            continue
-        levels.append((eps, fs))
+    start = 0
+    for eps, end in zip(values, ends):
+        for i, j in zip(rows[start:end], cols[start:end]):
+            if i == j:
+                vertices |= 1 << i
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        start = end
+        levels.append((eps, FaceSet(net.universe, bron_kerbosch(adj, vertices, 0))))
     return levels
 
 
@@ -368,7 +361,7 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     enumeration.
     """
     if isinstance(f, VRFiltration):
-        return cliquegram_from_network(f.network).with_kind("facegram")
+        return Gram(f.universe, _clique_levels(f.network, 0.0), "facegram")
     if isinstance(f, PullbackFiltration):
         base = facegram_from_filtration(f.base)
         phi = f.phi
@@ -416,9 +409,10 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
     """Pointwise least upper bound of grams in the chosen lattice.
 
     ``mode="facegram"`` joins levels as face-sets (maximal faces of the
-    union); ``mode="cliquegram"`` joins them as clique-sets (maximal
-    cliques of the union cover graph) and requires every part level to be
-    a clique-set.  Critical values are the union of the parts'.
+    union); critical values are the union of the parts'.
+    ``mode="cliquegram"`` requires every part level to be a clique-set and
+    joins through the isomorphic lattice of networks: the join is the
+    cliquegram of the entrywise minimum of the parts' networks.
     """
     if mode not in ("facegram", "cliquegram"):
         raise ValueError(f"unknown join mode {mode!r}")
@@ -437,20 +431,20 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
                     raise ValueError(
                         f"cliquegram join requires clique-set levels (t={t!r})"
                     )
+        return cliquegram_from_network(
+            network_join([network_from_cliquegram(p) for p in parts])
+        )
     criticals = sorted({t for p in parts for t in p.criticals})
     levels: list[tuple[float, FaceSet]] = []
     for t in criticals:
         masks = [m for p in parts for m in p.level_at(t).faces]
-        if mode == "facegram":
-            fs = FaceSet(universe, maximal_masks(masks))
-        else:
-            fs = FaceSet(universe, maximal_cliques(cover_graph(universe, masks)))
+        fs = FaceSet(universe, maximal_masks(masks))
         if fs.is_empty:
             continue
         if levels and levels[-1][1] == fs:
             continue
         levels.append((t, fs))
-    return Gram(universe, levels, mode if mode in KINDS else "facegram")
+    return Gram(universe, levels, "facegram")
 
 
 def squash_to_cliquegram(g: Gram) -> Gram:

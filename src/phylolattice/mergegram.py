@@ -14,8 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .filtrations import Filtration, all_faces
-from .grams import Gram, Interval, treegram_from_ultranetwork
+from .filtrations import Filtration
+from .grams import (
+    Gram,
+    Interval,
+    _facegram_from_support,
+    facegram_from_filtration,
+    treegram_from_ultranetwork,
+)
 from .networks import PhyloNetwork, as_ultranetwork
 from .taxa import TaxaSet, bits
 
@@ -140,36 +146,14 @@ def mergegram(g: Gram) -> Mergegram:
 def labeled_mergegram_of_filtration(
     f: Filtration, support: Sequence[int] | None = None
 ) -> LabeledMergegram:
-    """Lifespans straight from filtration values on a covering face family.
+    """Lifespans of the filtration's facegram.
 
-    For each candidate face the window is [value, min value of a strict
-    superset candidate); empty windows drop out.  ``support`` must contain
-    every face that is ever maximal; when omitted it is taken from the
-    filtration itself (or full enumeration on small universes).
+    ``support`` must contain every face that is ever maximal; when omitted
+    the facegram comes from ``facegram_from_filtration``.
     """
-    universe = f.universe
-    full = universe.full_mask
     if support is None:
-        support = f.support_faces()
-    if support is None:
-        if len(universe) > 16:
-            raise ValueError("no compact support known; universe too large")
-        support = tuple(all_faces(universe))
-    cands = sorted(set(support) | {full}, key=lambda m: m.bit_count())
-    values = {m: f.value(m) for m in cands}
-    entries: dict[int, Interval] = {}
-    for m in cands:
-        birth = values[m]
-        if m == full:
-            death = math.inf
-        else:
-            death = min(
-                (values[s] for s in cands if s != m and s | m == s),
-                default=math.inf,
-            )
-        if birth < death:
-            entries[m] = Interval(birth, death)
-    return LabeledMergegram(universe, entries)
+        return labeled_mergegram(facegram_from_filtration(f))
+    return labeled_mergegram(_facegram_from_support(f, support))
 
 
 def mergegram_of_filtration(

@@ -16,15 +16,20 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from phylolattice import (
+    FaceSet,
+    Gram,
     Graph,
     Interval,
     LabeledMergegram,
     TaxaSet,
+    all_faces,
     bits,
     faceset_leq,
     is_pair_cover_closed,
     is_subpartition,
+    maximal_cliques,
 )
+from phylolattice.faces import cover_graph
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -290,6 +295,106 @@ def first_non_clique_set_level(levels) -> float | None:
         if not is_subpartition(fs) and not is_pair_cover_closed(fs):
             return t
     return None
+
+
+def bron_kerbosch_by_recursion(adj, p: int, x: int) -> list[int]:
+    """Pivoted Bron-Kerbosch by plain recursion, one call per clique
+    vertex: the maximal cliques inside ``p`` that no vertex of ``x``
+    extends, in discovery order.  Small graphs only."""
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            out.append(r)
+            return
+        pivot = max(bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in bits(p & ~adj[pivot]):
+            mv = 1 << v
+            expand(r | mv, p & adj[v], x & adj[v])
+            p &= ~mv
+            x |= mv
+
+    expand(0, p, x)
+    return out
+
+
+def clique_levels_by_threshold_graphs(net, merge_tol: float = 0.0):
+    """Cliquegram levels by definition: for every matrix value (after
+    coalescing values within ``merge_tol`` of a cluster minimum and
+    snapping entries to it), a fresh threshold graph of the taxa observed
+    by then and the pairs coalesced by then, and its maximal cliques."""
+    universe = net.universe
+    matrix = net.matrix
+    values: list[float] = []
+    for v in np.unique(matrix):
+        if not values or v - values[-1] > merge_tol:
+            values.append(float(v))
+    if merge_tol > 0:
+        reps = np.array(values)
+        matrix = reps[np.searchsorted(reps, matrix, side="right") - 1]
+    levels: list[tuple[float, FaceSet]] = []
+    for eps in values:
+        observed = np.diag(matrix) <= eps
+        vertices = sum(1 << int(i) for i in np.nonzero(observed)[0])
+        close = (matrix <= eps) & np.outer(observed, observed)
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(close)) if i < j]
+        graph = Graph.from_edges(universe, vertices, edges)
+        fs = FaceSet(universe, maximal_cliques(graph))
+        if fs.is_empty:
+            continue
+        if levels and levels[-1][1] == fs:
+            continue
+        levels.append((eps, fs))
+    return levels
+
+
+def clique_join_by_levels(parts) -> Gram:
+    """Clique-set join level by level: at every critical value of any part,
+    the maximal cliques of the union of the parts' cover graphs.  Every
+    part level must be a clique-set, which a full enumeration checks."""
+    universe = parts[0].universe
+    for p in parts:
+        t = first_non_clique_set_level(p.levels)
+        if t is not None:
+            raise ValueError(f"cliquegram join requires clique-set levels (t={t!r})")
+    levels: list[tuple[float, FaceSet]] = []
+    for t in sorted({t for p in parts for t in p.criticals}):
+        masks = [m for p in parts for m in p.level_at(t).faces]
+        fs = FaceSet(universe, maximal_cliques(cover_graph(universe, masks)))
+        if fs.is_empty:
+            continue
+        if levels and levels[-1][1] == fs:
+            continue
+        levels.append((t, fs))
+    return Gram(universe, levels, "cliquegram")
+
+
+def labeled_mergegram_by_superset_scan(f, support=None) -> LabeledMergegram:
+    """Lifespans straight from filtration values on a covering face family:
+    each candidate's window is [value, min value of a strict superset
+    candidate), and empty windows drop out.  Without ``support`` the
+    candidates are the filtration's own support, or every face."""
+    universe = f.universe
+    full = universe.full_mask
+    if support is None:
+        support = f.support_faces()
+    if support is None:
+        support = tuple(all_faces(universe))
+    cands = sorted(set(support) | {full}, key=lambda m: m.bit_count())
+    values = {m: f.value(m) for m in cands}
+    entries: dict[int, Interval] = {}
+    for m in cands:
+        birth = values[m]
+        if m == full:
+            death = math.inf
+        else:
+            death = min(
+                (values[s] for s in cands if s != m and s | m == s),
+                default=math.inf,
+            )
+        if birth < death:
+            entries[m] = Interval(birth, death)
+    return LabeledMergegram(universe, entries)
 
 
 def _dumps(doc: dict) -> str:

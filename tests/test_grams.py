@@ -27,11 +27,14 @@ from phylolattice import (
     treegram_from_ultranetwork,
     Surjection,
     TaxaSet,
+    gram_json,
     is_subpartition,
     maximal_masks,
 )
 
 from oracles import (
+    clique_join_by_levels,
+    clique_levels_by_threshold_graphs,
     enumerate_maximal_cliques,
     first_non_clique_set_level,
     gram_leq_by_levels,
@@ -346,6 +349,29 @@ class TestCliquegramFromNetwork:
                     expect = enumerate_maximal_cliques(Graph.from_edges(ts, vmask, edges))
                     assert set(g.level_at(float(eps)).faces) == expect
 
+    def test_matches_the_threshold_graph_sweep(self):
+        # integer rounding makes ties and keeps the diagonal bound; a
+        # positive merge_tol snaps nearby values to their cluster minimum
+        rng = random.Random(70)
+        for _ in range(1200):
+            ts = taxa(rng.randint(1, 12))
+            net = random_network(ts, rng, late=rng.random() < 0.5)
+            if rng.random() < 0.3:
+                net = PhyloNetwork(ts, np.round(net.matrix * 4))
+            tol = rng.choice((0.0, 0.0, 0.05, 0.15))
+            expect = clique_levels_by_threshold_graphs(net, tol)
+            assert cliquegram_from_network(net, tol).levels == tuple(expect)
+
+    def test_equal_distances_on_a_thousand_taxa(self):
+        # the single clique of every taxon is a thousand vertices deep
+        ts = TaxaSet(f"t{i:04d}" for i in range(1000))
+        m = np.ones((1000, 1000))
+        np.fill_diagonal(m, 0.0)
+        g = cliquegram_from_network(PhyloNetwork(ts, m))
+        assert g.criticals == (0.0, 1.0)
+        assert len(g.levels[0][1]) == 1000
+        assert g.levels[1][1].faces == (ts.full_mask,)
+
     def test_round_trip_from_network(self, rng):
         for n in (2, 3, 5, 7):
             ts = taxa(n)
@@ -473,6 +499,28 @@ class TestFacegramFromFiltration:
         assert facegram_from_filtration(filtration_from_facegram(g)) == g
 
 
+def _clique_join_part(ts, rng):
+    """A cliquegram join part: a network cliquegram, a treegram, the
+    facegram kind of a network cliquegram, or random monotone facegram
+    levels, which are often not clique-sets.  Ties come from integer
+    rounding; half of the networks observe taxa late."""
+    late = rng.random() < 0.5
+    tie = rng.random() < 0.5
+    kind = rng.randrange(4)
+    if kind == 1:
+        u = random_ultrametric(ts, rng, late)
+        if tie:
+            u = Ultranetwork(ts, np.round(u.matrix * 3))
+        return treegram_from_ultranetwork(u)
+    if kind == 3:
+        return Gram(ts, _monotone_levels(ts, rng), "facegram")
+    net = random_network(ts, rng, late)
+    if tie:
+        net = PhyloNetwork(ts, np.round(net.matrix * 3))
+    g = cliquegram_from_network(net)
+    return g if kind == 0 else g.with_kind("facegram")
+
+
 class TestJoin:
     def test_face_vs_clique_divergence(self):
         ts = taxa(3)
@@ -512,16 +560,60 @@ class TestJoin:
             )
 
     def test_clique_join_matches_network_join(self, rng):
-        # the clique-set join of network cliquegrams is the cliquegram of
-        # the entrywise-min network
+        # the level-by-level clique-set join of network cliquegrams is the
+        # cliquegram of the entrywise-min network
         ts = taxa(5)
         for _ in range(15):
             n1, n2 = random_network(ts, rng, late=True), random_network(ts, rng)
-            joined = join_grams(
-                [cliquegram_from_network(n1), cliquegram_from_network(n2)],
-                "cliquegram",
-            )
-            assert joined == cliquegram_from_network(network_join([n1, n2]))
+            parts = [cliquegram_from_network(n1), cliquegram_from_network(n2)]
+            expect = clique_join_by_levels(parts)
+            assert expect == cliquegram_from_network(network_join([n1, n2]))
+            assert join_grams(parts, "cliquegram") == expect
+
+    def test_clique_join_matches_the_level_by_level_join(self):
+        rng = random.Random(71)
+        joined = refused = 0
+        for _ in range(1000):
+            ts = taxa(rng.randint(1, 9))
+            parts = [_clique_join_part(ts, rng) for _ in range(rng.randint(1, 4))]
+            try:
+                expect = clique_join_by_levels(parts)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    join_grams(parts, "cliquegram")
+                assert str(got.value) == str(err)
+                refused += 1
+                continue
+            g = join_grams(parts, "cliquegram")
+            assert g == expect
+            assert g.kind == "cliquegram"
+            assert g.lifespans == expect.lifespans
+            assert gram_json(g) == gram_json(expect)
+            joined += 1
+        assert joined >= 600 and refused >= 50, (joined, refused)
+
+    def test_clique_join_logs_one_cliquegram_line(self, caplog, rng):
+        ts = taxa(5)
+        parts = [
+            treegram_from_ultranetwork(random_ultrametric(ts, rng)) for _ in range(3)
+        ]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            join_grams(parts, "cliquegram")
+        records = [r for r in caplog.records if r.name == "phylolattice.grams"]
+        assert [r.getMessage().split()[0] for r in records] == ["stage=cliquegram"]
+        assert records[0].levelno == logging.DEBUG
+
+    def test_clique_join_of_thousand_taxon_stars(self):
+        # two star trees whose join is one clique of every taxon
+        ts = TaxaSet(f"t{i:04d}" for i in range(1000))
+        stars = []
+        for height in (1.0, 2.0):
+            m = np.full((1000, 1000), height)
+            np.fill_diagonal(m, 0.0)
+            stars.append(treegram_from_ultranetwork(Ultranetwork(ts, m)))
+        g = join_grams(stars, "cliquegram")
+        assert g.criticals == (0.0, 1.0)
+        assert g.levels[1][1].faces == (ts.full_mask,)
 
     def test_clique_mode_rejects_non_clique_levels(self):
         ts = taxa(3)

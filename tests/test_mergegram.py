@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,12 +23,26 @@ from phylolattice import (
     labeled_mergegram_of_filtration,
     mergegram,
     mergegram_of_filtration,
+    Surjection,
+    all_faces,
+    filtration_from_facegram,
     ph0_elder,
+    pullback_filtration,
     treegram_from_ultranetwork,
 )
 
-from oracles import join_mergegram_by_scan, lifespans_by_definition
-from util import gram_of, random_network, random_ultrametric, taxa
+from oracles import (
+    join_mergegram_by_scan,
+    labeled_mergegram_by_superset_scan,
+    lifespans_by_definition,
+)
+from util import (
+    gram_of,
+    random_monotone_table,
+    random_network,
+    random_ultrametric,
+    taxa,
+)
 
 INF = math.inf
 
@@ -149,6 +164,29 @@ def test_single_level_gram():
     assert mergegram(g) == Mergegram([(0.5, INF)])
 
 
+def _random_filtration(ts, rng):
+    """A table, VR (ties from integer rounding, late observation), facegram
+    or pullback filtration over ``ts``; a pullback's base is one of the
+    others over a random image of ``ts``."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_monotone_table(ts, rng)
+    if kind == 1:
+        net = random_network(ts, rng, late=rng.random() < 0.5)
+        if rng.random() < 0.5:
+            net = PhyloNetwork(ts, np.round(net.matrix * 3))
+        return VRFiltration(net)
+    if kind == 2:
+        trees = [random_ultrametric(ts, rng, late=True) for _ in range(rng.randint(1, 3))]
+        g = join_grams([treegram_from_ultranetwork(u) for u in trees], "facegram")
+        return filtration_from_facegram(g)
+    base = _random_filtration(taxa(rng.randint(1, len(ts))), rng)
+    k = len(base.universe)
+    mapping = list(range(k)) + [rng.randrange(k) for _ in range(len(ts) - k)]
+    rng.shuffle(mapping)
+    return pullback_filtration(base, Surjection(ts, base.universe, mapping))
+
+
 class TestFiltrationRoute:
     def test_matches_sweep_and_definition(self, rng):
         for n in (2, 3, 5):
@@ -167,6 +205,22 @@ class TestFiltrationRoute:
         everything = tuple(range(1, 1 << 4))
         assert labeled_mergegram_of_filtration(f, everything) == (
             labeled_mergegram_of_filtration(f)
+        )
+
+    def test_matches_the_superset_scan(self):
+        rng = random.Random(81)
+        for _ in range(1200):
+            f = _random_filtration(taxa(rng.randint(1, 6)), rng)
+            support = tuple(all_faces(f.universe)) if rng.random() < 0.5 else None
+            assert labeled_mergegram_of_filtration(f, support) == (
+                labeled_mergegram_by_superset_scan(f, support)
+            )
+
+    def test_vr_on_twenty_taxa(self, rng):
+        ts = TaxaSet(f"t{i:02d}" for i in range(20))
+        net = random_network(ts, rng, late=True)
+        assert labeled_mergegram_of_filtration(VRFiltration(net)) == (
+            labeled_mergegram(cliquegram_from_network(net))
         )
 
     def test_unlabeled_wrapper(self, rng):

@@ -22,8 +22,9 @@ from phylolattice import (
     bits,
     TaxaSet,
 )
+from phylolattice.faces import bron_kerbosch
 
-from oracles import enumerate_maximal_cliques
+from oracles import bron_kerbosch_by_recursion, enumerate_maximal_cliques
 from util import taxa
 
 
@@ -138,6 +139,16 @@ class TestCliques:
             for _ in range(20):
                 g = random_graph(ts, rng, p=rng.uniform(0.2, 0.9))
                 assert set(maximal_cliques(g)) == enumerate_maximal_cliques(g)
+
+    def test_same_cliques_in_the_same_order_as_the_recursion(self):
+        # random vertex subsets as p, part of the rest as x
+        rng = random.Random(80)
+        for k in range(3000):
+            ts = taxa(1 + k % 16)
+            g = random_graph(ts, rng, p=rng.uniform(0.1, 0.95))
+            p = rng.randrange(1, ts.full_mask + 1)
+            x = rng.randrange(ts.full_mask + 1) & ~p
+            assert bron_kerbosch(g.adj, p, x) == bron_kerbosch_by_recursion(g.adj, p, x)
 
     def test_graph_validation(self):
         ts = taxa(3)
