@@ -9,7 +9,9 @@ the joined gram.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,10 +22,11 @@ from .grams import (
     Interval,
     _facegram_from_support,
     facegram_from_filtration,
-    treegram_from_ultranetwork,
 )
 from .networks import PhyloNetwork, as_ultranetwork
-from .taxa import TaxaSet, bits
+from .taxa import TaxaSet
+
+log = logging.getLogger(__name__)
 
 
 def _canonical_points(
@@ -162,23 +165,76 @@ def mergegram_of_filtration(
     return labeled_mergegram_of_filtration(f, support).unlabeled()
 
 
-def _tree_candidates(ultras: Sequence[PhyloNetwork]) -> list[int]:
-    faces: set[int] = set()
-    for u in ultras:
-        faces.update(treegram_from_ultranetwork(u).all_faces())
-    return sorted(faces, key=lambda m: (m.bit_count(), m))
+def _range_table(x: np.ndarray, op) -> np.ndarray:
+    """Sparse table over the last axis of ``x``: ``table[k, ..., i]`` is
+    ``op`` reduced over ``x[..., i : i + 2**k]`` (clipped at the end), so a
+    range of length r is ``op`` of two entries at level floor(log2 r)."""
+    levels = [x]
+    w = 1
+    while 2 * w <= x.shape[-1]:
+        prev = levels[-1]
+        nxt = prev.copy()
+        op(prev[..., :-w], prev[..., w:], out=nxt[..., :-w])
+        levels.append(nxt)
+        w *= 2
+    return np.stack(levels)
+
+
+def _range(table: np.ndarray, op, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``op`` over ``x[rows, lo : hi + 1]`` of the table's array, elementwise
+    over the broadcast query arrays; every range must be nonempty."""
+    k = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length)), exact on integers
+    return op(table[k, rows, lo], table[k, rows, hi + 1 - (1 << k)])
+
+
+def _new_runs(order: list[int], joins: np.ndarray, seen: set[int]):
+    """The runs of ``order`` that the single-linkage merges create, taken in
+    (join, position) order, plus the singletons; only masks not in ``seen``
+    are returned (as first and last positions and masks) and added to it."""
+    n = len(order)
+    mask = [1 << i for i in order]  # run start -> face mask
+    first, last, masks = [], [], []
+    for p, m in enumerate(mask):
+        if m not in seen:
+            seen.add(m)
+            first.append(p)
+            last.append(p)
+            masks.append(m)
+    end = list(range(n))  # run start -> its last position
+    start = list(range(n))  # last position of a run -> its start
+    for k in (np.argsort(joins, kind="stable") + 1).tolist():
+        a, b = start[k - 1], end[k]  # the run ending at k - 1 meets the one at k
+        end[a], start[b] = b, a
+        mask[a] |= mask[k]
+        if mask[a] not in seen:
+            seen.add(mask[a])
+            first.append(a)
+            last.append(b)
+            masks.append(mask[a])
+    return np.array(first, dtype=np.intp), np.array(last, dtype=np.intp), masks
 
 
 def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergegram:
     """Labeled mergegram of the facegram join of treegrams, without the join.
 
-    Candidate faces are those of the individual treegrams; the join adds
-    no others.  Each face's window is read straight off the stacked
-    matrices: the birth is the smallest diameter over the trees, and the
-    death is the smallest over trees and outside taxa of the worst
-    coalescence time into the face (the strong triangle inequality makes
-    that the exact covering time of every one-element extension).
+    Every face of the join is a face of some treegram, hence a run of that
+    tree's single-linkage order; the candidates are all runs the merges
+    create.  A face m is maximal in the join at t iff birth <= t < death,
+    where the birth is the smallest diameter of m over the trees and the
+    death the smallest over trees of ``min_{x not in m} max_{i in m} U(i, x)``
+    (the strong triangle inequality makes that the exact covering time of
+    every one-element extension); a candidate with birth >= death is not a
+    face.
+
+    In tree l, with m's positions spanning [lo, hi] and J the joins between
+    adjacent positions, the diameter of m is ``span = max(J[lo:hi])`` (or
+    the diagonal entry of a singleton).  If m leaves a gap in [lo, hi] a
+    taxon inside it joins m at ``span``; otherwise the nearest outside
+    taxa are at lo - 1 and hi + 1, which join at ``max(span, J[lo - 1])``
+    and ``max(span, J[hi])``.  All ranges are read from sparse tables, so
+    no matrix is read beyond its diagonal.
     """
+    t0 = time.perf_counter()
     if not ultras:
         raise ValueError("need at least one ultranetwork")
     ultras = [as_ultranetwork(u) for u in ultras]
@@ -186,24 +242,53 @@ def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergeg
     for u in ultras[1:]:
         if u.universe != universe:
             raise ValueError("ultranetworks live over different universes")
-    n = len(universe)
-    full = universe.full_mask
-    stack = np.stack([u.matrix for u in ultras])  # (trees, n, n)
-    cands = _tree_candidates(ultras)
+    n, trees = len(universe), len(ultras)
+    rows = np.arange(trees)[:, None]
+    orders = np.array([u.linkage[0] for u in ultras])  # (trees, n)
+    diags = np.array([np.diag(u.matrix) for u in ultras])
+    pos = np.empty_like(orders)  # pos[l, i]: position of taxon i in tree l
+    pos[rows, orders] = np.arange(n)
+    # gaps[l, k]: the join between positions k - 1 and k, inf past either end
+    gaps = np.full((trees, n + 1), math.inf)
+    gaps[:, 1:n] = [u.linkage[1] for u in ultras]
+    gap_max = _range_table(gaps, np.maximum)
 
+    seen: set[int] = set()
     entries: dict[int, Interval] = {}
-    for m in cands:
-        idx = list(bits(m))
-        colmax = stack[:, idx, :].max(axis=1)  # worst time into m, per taxon
-        birth = float(colmax[:, idx].max(axis=1).min())
-        if m == full:
-            death = math.inf
-        else:
-            outside = [i for i in range(n) if not (m >> i) & 1]
-            death = float(colmax[:, outside].min())
-        if birth < death:
-            entries[m] = Interval(birth, death)
-    return LabeledMergegram(universe, entries)
+    for s, u in enumerate(ultras):
+        a, b, masks = _new_runs(orders[s].tolist(), u.linkage[1], seen)
+        if not masks:
+            continue
+        at = pos[:, orders[s]]  # positions, in every tree, of s's order
+        lo = _range(_range_table(at, np.minimum), np.minimum, rows, a, b)
+        hi = _range(_range_table(at, np.maximum), np.maximum, rows, a, b)
+        inner = hi > lo
+        span = np.where(
+            inner,
+            _range(gap_max, np.maximum, rows, lo + 1, np.maximum(hi, lo + 1)),
+            -math.inf,
+        )
+        diam = np.where(inner, span, diags[:, orders[s][a]])
+        fills = hi - lo == b - a
+        sides = np.minimum(
+            np.maximum(span, gaps[rows, lo]), np.maximum(span, gaps[rows, hi + 1])
+        )
+        births = diam.min(axis=0).tolist()
+        deaths = np.where(fills, sides, span).min(axis=0).tolist()
+        for m, birth, death in zip(masks, births, deaths):
+            if birth < death:
+                entries[m] = Interval(birth, death)
+    lm = LabeledMergegram(universe, entries)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=fast_join taxa=%d trees=%d candidates=%d entries=%d ms=%.3f",
+            n,
+            trees,
+            len(seen),
+            len(entries),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return lm
 
 
 def gram_from_labeled_mergegram(lm: LabeledMergegram, kind: str = "facegram") -> Gram:

@@ -13,6 +13,8 @@ diagonal instead.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ from .networks import Ultranetwork, as_ultranetwork, PhyloNetwork
 from .taxa import TaxaSet
 
 _STRUCTURE = set("():,;'")
+_TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
 
 
 class NewickError(ValueError):
@@ -105,14 +108,9 @@ def _read_name(c: _Cursor) -> str | None:
         return name
     if ch is None or ch in _STRUCTURE:
         return None
-    start = c.i
-    while (
-        c.i < len(c.text)
-        and c.text[c.i] not in _STRUCTURE
-        and c.text[c.i] not in " \t"
-    ):
-        c.i += 1
-    return c.text[start:c.i]
+    token = _TOKEN.match(c.text, c.i).group()
+    c.i += len(token)
+    return token
 
 
 def _read_length(c: _Cursor) -> float | None:
@@ -121,14 +119,13 @@ def _read_length(c: _Cursor) -> float | None:
     c.take()
     c.skip_ws()
     start = c.i
-    while c.i < len(c.text) and c.text[c.i] not in _STRUCTURE and c.text[c.i] not in " \t":
-        c.i += 1
-    token = c.text[start:c.i]
+    token = _TOKEN.match(c.text, start).group()
+    c.i += len(token)
     try:
         value = float(token)
     except ValueError:
         raise c.fail(f"malformed branch length {token!r}", start + 1) from None
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise c.fail(f"branch length must be finite and nonnegative, got {token}", start + 1)
     return value
 

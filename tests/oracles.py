@@ -28,6 +28,7 @@ from phylolattice import (
     is_pair_cover_closed,
     is_subpartition,
     maximal_cliques,
+    treegram_from_ultranetwork,
 )
 from phylolattice.faces import cover_graph
 
@@ -283,6 +284,36 @@ def join_mergegram_by_scan(ultras) -> LabeledMergegram:
             death = min(
                 (values[s] for s in cands if s != m and s | m == s), default=math.inf
             )
+        if birth < death:
+            entries[m] = Interval(birth, death)
+    return LabeledMergegram(universe, entries)
+
+
+def join_mergegram_by_matrix(ultras) -> LabeledMergegram:
+    """Labeled mergegram of the facegram join of treegrams, read off the
+    stacked matrices for every face of every treegram.
+
+    The birth is the smallest diameter over the trees; the death is the
+    smallest, over trees and outside taxa, of the worst coalescence time
+    into the face.
+    """
+    universe = ultras[0].universe
+    n = len(universe)
+    full = universe.full_mask
+    stack = np.stack([u.matrix for u in ultras])  # (trees, n, n)
+    faces: set[int] = set()
+    for u in ultras:
+        faces.update(treegram_from_ultranetwork(u).all_faces())
+    entries: dict[int, Interval] = {}
+    for m in sorted(faces, key=lambda m: (m.bit_count(), m)):
+        idx = list(bits(m))
+        colmax = stack[:, idx, :].max(axis=1)  # worst time into m, per taxon
+        birth = float(colmax[:, idx].max(axis=1).min())
+        if m == full:
+            death = math.inf
+        else:
+            outside = [i for i in range(n) if not (m >> i) & 1]
+            death = float(colmax[:, outside].min())
         if birth < death:
             entries[m] = Interval(birth, death)
     return LabeledMergegram(universe, entries)

@@ -1,5 +1,8 @@
+import logging
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,17 +29,23 @@ from phylolattice import (
     Surjection,
     all_faces,
     filtration_from_facegram,
+    parse_newick,
     ph0_elder,
     pullback_filtration,
     treegram_from_ultranetwork,
+    ultranetwork_from_newick,
 )
+from phylolattice.grams import Gram
 
 from oracles import (
+    join_mergegram_by_matrix,
     join_mergegram_by_scan,
     labeled_mergegram_by_superset_scan,
     lifespans_by_definition,
 )
 from util import (
+    balanced_newick,
+    caterpillar_newick,
     gram_of,
     random_monotone_table,
     random_network,
@@ -228,6 +237,13 @@ class TestFiltrationRoute:
         assert mergegram_of_filtration(f) == labeled_mergegram_of_filtration(f).unlabeled()
 
 
+def _shuffled_leaves(text: str, n: int) -> str:
+    """The same Newick text with the leaf names t0000... permuted (seeded)."""
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    return re.sub(r"t(\d{4})", lambda mo: f"t{perm[int(mo.group(1))]:04d}", text)
+
+
 class TestTreeJoin:
     def u3(self, xy, yz, xz, diag=(0, 0, 0)):
         ts = TaxaSet(["x", "y", "z"])
@@ -289,6 +305,98 @@ class TestTreeJoin:
             join_mergegram_of_treegrams([])
         with pytest.raises(ValueError, match="different universes"):
             join_mergegram_of_treegrams([self.u3(1, 1, 1), random_ultrametric(taxa(2), rng)])
+
+    def test_matches_the_matrix_path(self):
+        # bit for bit (float.hex) on random families: ties from rounding to
+        # integers, late observation, repeated trees and single taxa
+        rng = random.Random(83)
+        signed_zero_families = 0
+        for k in range(1200):
+            ts = taxa(1 + k % 10)
+            trees = []
+            for _ in range(rng.randint(1, 5)):
+                if trees and rng.random() < 0.2:
+                    trees.append(rng.choice(trees))
+                    continue
+                u = random_ultrametric(ts, rng, late=rng.random() < 0.5)
+                if rng.random() < 0.4:
+                    u = Ultranetwork(ts, np.round(u.matrix * 3))
+                trees.append(u)
+            got = join_mergegram_of_treegrams(trees)
+            want = join_mergegram_by_matrix(trees)
+            assert got.entries.keys() == want.entries.keys()
+            for m, iv in want.entries.items():
+                assert got.entries[m].birth.hex() == iv.birth.hex()
+                assert got.entries[m].death.hex() == iv.death.hex()
+            if k % 4 == 0:
+                # which of two equal zeros a minimum returns depends on the
+                # reduction order, so -0.0 entries are compared by value only
+                flipped = [Ultranetwork(ts, np.where(u.matrix == 0, -0.0, u.matrix)) for u in trees]
+                signed_zero_families += any(np.signbit(u.matrix).any() for u in flipped)
+                assert join_mergegram_of_treegrams(flipped) == join_mergegram_by_matrix(flipped)
+        assert signed_zero_families > 100
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            (caterpillar_newick(1200), balanced_newick(1200)),
+            (balanced_newick(2000), _shuffled_leaves(balanced_newick(2000), 2000)),
+        ],
+        ids=["caterpillar-1200", "balanced-2000"],
+    )
+    def test_large_trees_match_the_matrix_path(self, texts):
+        trees = [ultranetwork_from_newick(parse_newick(t)[0]) for t in texts]
+        assert join_mergegram_of_treegrams(trees) == join_mergegram_by_matrix(trees)
+
+    def test_memory_stays_linear_in_the_taxa(self):
+        text = balanced_newick(2000)
+        trees = [
+            ultranetwork_from_newick(parse_newick(t)[0])
+            for t in (text, _shuffled_leaves(text, 2000))
+        ]
+        tracemalloc.start()
+        try:
+            join_mergegram_of_treegrams(trees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2,000-taxon matrix alone is 32 MB
+        assert peak < 16 * 2**20
+
+    def test_builds_no_gram(self, rng, monkeypatch):
+        trees = [random_ultrametric(taxa(6), rng, late=True) for _ in range(3)]
+        want = join_mergegram_by_matrix(trees)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast join built a Gram")
+
+        monkeypatch.setattr(Gram, "__init__", refuse)
+        assert join_mergegram_of_treegrams(trees) == want
+
+    def test_debug_line(self, caplog):
+        u1 = self.u3(xy=1, yz=3, xz=3)
+        u2 = self.u3(xy=3, yz=1, xz=3)
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.mergegram"):
+            join_mergegram_of_treegrams([u1, u2])
+            join_mergegram_of_treegrams([u1])
+        records = [r for r in caplog.records if r.name == "phylolattice.mergegram"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        fields = []
+        for record in records:
+            stage, *pairs = record.getMessage().split()
+            assert stage == "stage=fast_join"
+            fields.append(dict(p.split("=") for p in pairs))
+            assert list(fields[-1]) == ["taxa", "trees", "candidates", "entries", "ms"]
+            assert float(fields[-1]["ms"]) >= 0
+        # runs x, y, z, xy, xyz of u1 and yz of u2; every one is a face
+        counts = [(f["taxa"], f["trees"], f["candidates"], f["entries"]) for f in fields]
+        assert counts == [("3", "2", "6", "6"), ("3", "1", "5", "5")]
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        trees = [random_ultrametric(taxa(5), rng) for _ in range(2)]
+        with caplog.at_level(logging.INFO, logger="phylolattice.mergegram"):
+            join_mergegram_of_treegrams(trees)
+        assert not [r for r in caplog.records if r.name == "phylolattice.mergegram"]
 
 
 class TestCompleteInvariant:

@@ -118,6 +118,77 @@ class TestParseErrors:
             parse_newick("(a,b);\n(c,c);")
 
 
+def preorder(tree):
+    """(name, length) of every node of a parsed tree, in preorder."""
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.name, node.length))
+        stack.extend(reversed(node.children))
+    return out
+
+
+# Every delimiter that can end an unquoted name or a branch length token:
+# each of "():,;'", a space, a tab and the end of the text.
+_DELIMITERS = ["(", ")", ":", ",", ";", "'", " ", "\t", ""]
+
+
+class TestTokenDelimiters:
+    @pytest.mark.parametrize(
+        "text, nodes",
+        [
+            # names ending at ',', ')' and ';'
+            ("(x,yy)r;", [("r", 1.0), ("x", 1.0), ("yy", 1.0)]),
+            # names ending at ':', lengths ending at ',' and ')'
+            ("(x:1,yy:2.5);", [(None, 1.0), ("x", 1.0), ("yy", 2.5)]),
+            # names ending at a space and a tab
+            ("(x ,yy\t)r ;", [("r", 1.0), ("x", 1.0), ("yy", 1.0)]),
+            ("(x\t,yy )r\t;", [("r", 1.0), ("x", 1.0), ("yy", 1.0)]),
+            # a length ending at ';'
+            ("(x:0.25,y:2)r:3;", [("r", 3.0), ("x", 0.25), ("y", 2.0)]),
+            # lengths ending at a space and a tab
+            ("(x:1.5 ,y:2\t)r;", [("r", 1.0), ("x", 1.5), ("y", 2.0)]),
+            ("(x:1e-3,y:1E2);", [(None, 1.0), ("x", 0.001), ("y", 100.0)]),
+        ],
+    )
+    def test_values(self, text, nodes):
+        assert preorder(one(text)) == nodes
+
+    @pytest.mark.parametrize(
+        "text, col, message",
+        [
+            # a name or a length ending at '(', "'", ':' or the end of the text
+            ("(x(yy));", 3, "unbalanced parentheses: '(' never closed"),
+            ("(x'q',yy);", 3, "unbalanced parentheses: '(' never closed"),
+            ("x", 2, "expected ';' (end of input)"),
+            ("(x:1:2,y);", 5, "unbalanced parentheses: '(' never closed"),
+            ("(x:1(y));", 5, "unbalanced parentheses: '(' never closed"),
+            ("(x:1'q',y);", 5, "unbalanced parentheses: '(' never closed"),
+            ("(x,y):2", 8, "expected ';' (end of input)"),
+            # malformed lengths, positioned at the token
+            ("(x:,y);", 4, "malformed branch length ''"),
+            ("(x: ,y);", 5, "malformed branch length ''"),
+            ("(x:\t2x,y);", 5, "malformed branch length '2x'"),
+            ("(x:nan,y);", 4, "branch length must be finite and nonnegative, got nan"),
+            ("(x:1e400,y);", 4, "branch length must be finite and nonnegative, got 1e400"),
+        ]
+        + [
+            ("(x:" + token + d + ("y);" if d else ""), 4, message)
+            for d in _DELIMITERS
+            for token, message in [
+                ("1.2.3", "malformed branch length '1.2.3'"),
+                ("-1", "branch length must be finite and nonnegative, got -1"),
+                ("inf", "branch length must be finite and nonnegative, got inf"),
+            ]
+        ],
+    )
+    def test_errors(self, text, col, message):
+        with pytest.raises(NewickError) as exc:
+            parse_newick(text)
+        assert str(exc.value) == f"line 1, column {col}: {message}"
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+
 class TestDeepTrees:
     def test_caterpillar_of_1200_taxa(self):
         n = 1200
