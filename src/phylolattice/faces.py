@@ -42,8 +42,10 @@ class FaceSet:
 
     def __init__(self, universe: TaxaSet, faces: Iterable[int] = ()):
         ordered = canonical_faces(faces)
+        full = universe.full_mask
         for m in ordered:
-            universe.check_face(m)
+            if type(m) is not int or not 0 < m <= full:
+                universe.check_face(m)  # raises with the face's own message
         # pairwise disjoint non-empty faces form an antichain
         if not _pairwise_disjoint(ordered):
             for i, m in enumerate(ordered):
@@ -176,9 +178,10 @@ class Graph:
 def maximal_cliques(graph: Graph) -> tuple[int, ...]:
     """All maximal cliques of ``graph`` as masks, canonically ordered.
 
-    Pivoted Bron-Kerbosch expansion; isolated vertices come out as
-    singleton cliques.  Deterministic: the pivot is the first candidate
-    maximizing coverage, and candidates are scanned in increasing bit order.
+    Pivoted Bron-Kerbosch expansion (``bron_kerbosch``); isolated vertices
+    come out as singleton cliques.  Deterministic: the pivot is the first
+    vertex, in increasing bit order, with the most neighbours among the
+    candidates, and the branches are tried in increasing bit order.
     """
     if not graph.vertices:
         return ()
@@ -193,12 +196,30 @@ def bron_kerbosch(adj: Sequence[int], p: int, x: int) -> list[int]:
     graph that ``p`` contains.  ``p`` must be non-empty.  The expansion
     keeps an explicit stack of frames, one per clique vertex, so cliques of
     any size are found without recursion.
+
+    The pivot is the first vertex of ``p | x``, in increasing bit order,
+    with the most neighbours in ``p``.  The scan stops early once no later
+    vertex can have strictly more: a vertex of ``p`` has at most
+    ``|p| - 1`` neighbours there, one of ``x`` at most ``|p|``.
     """
 
     def branches(p: int, x: int) -> int:
-        pivot = max(bits(p | x), key=lambda u: (p & adj[u]).bit_count())
-        return p & ~adj[pivot]
+        top = p.bit_count()
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1]
+            count = (p & nbrs).bit_count()
+            if count > best:
+                best, pivot = count, nbrs
+                if count == top or (count == top - 1 and not rest & x):
+                    break
+        return p & ~pivot
 
+    if not p | x:
+        raise ValueError("Bron-Kerbosch needs a vertex to expand")
     out: list[int] = []
     # frame: clique, candidates, excluded, branch vertices not yet tried
     stack = [[0, p, x, branches(p, x)]]

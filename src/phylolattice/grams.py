@@ -230,8 +230,11 @@ def _coalesce(values: np.ndarray, tol: float) -> list[float]:
     return out
 
 
-def _clique_levels(net: PhyloNetwork, merge_tol: float) -> list[tuple[float, FaceSet]]:
-    """Sweep the sub-level graphs of ``net``: one level per coalesced value.
+def _clique_levels(
+    net: PhyloNetwork, merge_tol: float
+) -> tuple[list[tuple[float, FaceSet]], int]:
+    """Sweep the sub-level graphs of ``net``: one level per coalesced value,
+    and the number of cliques the region searches listed.
 
     One threshold graph grows through the upper triangle in sorted order,
     a value's entries being those from it up to the next value: a diagonal
@@ -240,6 +243,16 @@ def _clique_levels(net: PhyloNetwork, merge_tol: float) -> list[tuple[float, Fac
     vertices by the time it arrives.  Every value adds a vertex or an edge,
     so every value changes the cliques, and the smallest value is a
     diagonal entry, so no level is empty.
+
+    The maximal cliques are kept from value to value.  A newly observed
+    taxon is a singleton clique until its edges arrive.  A maximal clique
+    through a new edge (i, j) lies in ``{i, j} | (adj[i] & adj[j])``; call
+    the union of these over the value's new edges R.  A clique C with a
+    vertex outside R is still maximal: a vertex w extending C would make
+    some edge (w, c) new, and then C | {w} would lie in R.  So the cliques
+    inside R are dropped, and one Bron-Kerbosch lists the maximal cliques
+    of the new graph that lie inside R, every vertex outside R excluded.
+    R stops growing once it holds every vertex.
     """
     n = len(net.universe)
     values = _coalesce(np.unique(net.matrix), merge_tol)
@@ -250,18 +263,35 @@ def _clique_levels(net: PhyloNetwork, merge_tol: float) -> list[tuple[float, Fac
     rows, cols = rows[order].tolist(), cols[order].tolist()
     adj = [0] * n
     vertices = 0
+    cliques: set[int] = set()
     levels: list[tuple[float, FaceSet]] = []
+    enumerated = 0
     start = 0
     for eps, end in zip(values, ends):
-        for i, j in zip(rows[start:end], cols[start:end]):
+        batch = range(start, end)
+        start = end
+        for k in batch:
+            i, j = rows[k], cols[k]
             if i == j:
                 vertices |= 1 << i
+                cliques.add(1 << i)
             else:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        start = end
-        levels.append((eps, FaceSet(net.universe, bron_kerbosch(adj, vertices, 0))))
-    return levels
+        region = 0
+        for k in batch:
+            i, j = rows[k], cols[k]
+            if i != j:
+                region |= (1 << i) | (1 << j) | (adj[i] & adj[j])
+                if region == vertices:
+                    break
+        if region:
+            found = bron_kerbosch(adj, region, vertices & ~region)
+            enumerated += len(found)
+            cliques = {c for c in cliques if c & ~region}
+            cliques.update(found)
+        levels.append((eps, FaceSet(net.universe, cliques)))
+    return levels, enumerated
 
 
 def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
@@ -273,28 +303,50 @@ def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
     minimum); the default keeps every distinct value.
     """
     t0 = time.perf_counter()
-    g = Gram(net.universe, _clique_levels(net, merge_tol), "cliquegram")
+    levels, enumerated = _clique_levels(net, merge_tol)
+    g = Gram(net.universe, levels, "cliquegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "stage=cliquegram taxa=%d levels=%d faces=%d ms=%.3f",
+            "stage=cliquegram taxa=%d levels=%d faces=%d enumerated=%d ms=%.3f",
             len(net.universe),
             len(g.levels),
             len(g.lifespans),
+            enumerated,
             (time.perf_counter() - t0) * 1e3,
         )
     return g
 
 
 def network_from_cliquegram(g: Gram) -> PhyloNetwork:
-    """First joint-cover times: each face's birth written over its block,
-    latest birth first (the full face, born last, fills every entry)."""
+    """First joint-cover times, read off the faces in increasing birth.
+
+    Each taxon keeps the mask of partners already written, so every entry
+    is written once, by the earliest-born face that covers its pair (faces
+    born together share one critical value).  A row's new partners are
+    written one run of consecutive positions at a time.
+    """
     n = len(g.universe)
-    m = np.empty((n, n))
-    by_birth = sorted(g.lifespans.items(), key=lambda kv: kv[1].birth, reverse=True)
-    for face, iv in by_birth:
-        idx = list(bits(face))
-        m[np.ix_(idx, idx)] = iv.birth
-    return PhyloNetwork(g.universe, m)
+    entries = [0.0] * (n * n)
+    written = [0] * n
+    for face, iv in sorted(g.lifespans.items(), key=lambda kv: kv[1].birth):
+        birth = iv.birth
+        for i in bits(face):
+            new = face & ~written[i]
+            written[i] |= face
+            row = i * n - 1
+            while new:
+                # the run of new from bit low up to, not including, bit high
+                low = new & -new
+                carry = new + low
+                high = carry & -carry
+                new = carry ^ high
+                a = row + low.bit_length()
+                if high == low << 1:
+                    entries[a] = birth
+                else:
+                    b = row + high.bit_length()
+                    entries[a:b] = [birth] * (b - a)
+    return PhyloNetwork(g.universe, np.array(entries).reshape(n, n))
 
 
 def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
@@ -361,7 +413,7 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     enumeration.
     """
     if isinstance(f, VRFiltration):
-        return Gram(f.universe, _clique_levels(f.network, 0.0), "facegram")
+        return Gram(f.universe, _clique_levels(f.network, 0.0)[0], "facegram")
     if isinstance(f, PullbackFiltration):
         base = facegram_from_filtration(f.base)
         phi = f.phi

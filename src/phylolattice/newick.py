@@ -24,6 +24,7 @@ from .taxa import TaxaSet
 
 _STRUCTURE = set("():,;'")
 _TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
+_BLANKS = re.compile(r"[ \t]*")
 
 
 class NewickError(ValueError):
@@ -70,13 +71,14 @@ class _Cursor:
     def fail(self, message: str, col: int | None = None) -> NewickError:
         return NewickError(message, self.line, self.i + 1 if col is None else col)
 
-    def skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i] in " \t":
-            self.i += 1
-
     def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else None
+        """The next character after any blanks, which it skips; None at
+        the end of the line."""
+        ch = self.text[self.i : self.i + 1]
+        if ch == " " or ch == "\t":
+            self.i = _BLANKS.match(self.text, self.i).end()
+            ch = self.text[self.i : self.i + 1]
+        return ch or None
 
     def take(self) -> str:
         ch = self.text[self.i]
@@ -117,7 +119,7 @@ def _read_length(c: _Cursor) -> float | None:
     if c.peek() != ":":
         return None
     c.take()
-    c.skip_ws()
+    c.peek()  # skips the blanks before the length
     start = c.i
     token = _TOKEN.match(c.text, start).group()
     c.i += len(token)
@@ -155,14 +157,15 @@ def _subtree(c: _Cursor) -> NewickNode:
         while stack:
             open_col, children = stack[-1]
             children.append(node)
-            if c.peek() == ",":
+            ch = c.peek()
+            if ch == ",":
                 c.take()
                 break
-            if c.peek() != ")":
+            if ch != ")":
                 raise c.fail(
                     "unbalanced parentheses: '(' never closed"
-                    + (" (end of input)" if c.peek() is None else ""),
-                    open_col if c.peek() is None else None,
+                    + (" (end of input)" if ch is None else ""),
+                    open_col if ch is None else None,
                 )
             c.take()
             stack.pop()
@@ -176,8 +179,9 @@ def _subtree(c: _Cursor) -> NewickNode:
 def _parse_line(text: str, line: int) -> NewickTree:
     c = _Cursor(text, line)
     root = _subtree(c)
-    if c.peek() != ";":
-        raise c.fail("expected ';'" + (" (end of input)" if c.peek() is None else ""))
+    ch = c.peek()
+    if ch != ";":
+        raise c.fail("expected ';'" + (" (end of input)" if ch is None else ""))
     c.take()
     if c.peek() is not None:
         raise c.fail("trailing characters after ';'")

@@ -21,6 +21,7 @@ from phylolattice import (
     Graph,
     Interval,
     LabeledMergegram,
+    PhyloNetwork,
     TaxaSet,
     all_faces,
     bits,
@@ -30,7 +31,7 @@ from phylolattice import (
     maximal_cliques,
     treegram_from_ultranetwork,
 )
-from phylolattice.faces import cover_graph
+from phylolattice.faces import bron_kerbosch, cover_graph
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -377,6 +378,50 @@ def clique_levels_by_threshold_graphs(net, merge_tol: float = 0.0):
             continue
         levels.append((eps, fs))
     return levels
+
+
+def clique_levels_by_full_enumeration(net, merge_tol: float = 0.0):
+    """Cliquegram levels from one growing threshold graph, with a full
+    Bron-Kerbosch over every vertex at each coalesced value: the sweep as
+    it was before it re-enumerated only the region the new edges reach.
+    The kernel itself is checked against ``bron_kerbosch_by_recursion``."""
+    n = len(net.universe)
+    values: list[float] = []
+    for v in np.unique(net.matrix):
+        if not values or v - values[-1] > merge_tol:
+            values.append(float(v))
+    rows, cols = np.triu_indices(n)
+    entries = net.matrix[rows, cols]
+    order = np.argsort(entries)
+    ends = np.searchsorted(entries[order], values[1:]).tolist() + [len(order)]
+    rows, cols = rows[order].tolist(), cols[order].tolist()
+    adj = [0] * n
+    vertices = 0
+    levels: list[tuple[float, FaceSet]] = []
+    start = 0
+    for eps, end in zip(values, ends):
+        for i, j in zip(rows[start:end], cols[start:end]):
+            if i == j:
+                vertices |= 1 << i
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        start = end
+        levels.append((eps, FaceSet(net.universe, bron_kerbosch(adj, vertices, 0))))
+    return levels
+
+
+def network_by_block_writes(g) -> PhyloNetwork:
+    """First joint-cover times: each face's birth written over its whole
+    block, latest birth first, so the earliest cover of a pair is written
+    last (the full face, born last, fills every entry)."""
+    n = len(g.universe)
+    m = np.empty((n, n))
+    by_birth = sorted(g.lifespans.items(), key=lambda kv: kv[1].birth, reverse=True)
+    for face, iv in by_birth:
+        idx = list(bits(face))
+        m[np.ix_(idx, idx)] = iv.birth
+    return PhyloNetwork(g.universe, m)
 
 
 def clique_join_by_levels(parts) -> Gram:

@@ -34,10 +34,12 @@ from phylolattice import (
 
 from oracles import (
     clique_join_by_levels,
+    clique_levels_by_full_enumeration,
     clique_levels_by_threshold_graphs,
     enumerate_maximal_cliques,
     first_non_clique_set_level,
     gram_leq_by_levels,
+    network_by_block_writes,
 )
 from util import gram_of, random_network, random_ultrametric, taxa
 
@@ -362,6 +364,53 @@ class TestCliquegramFromNetwork:
             expect = clique_levels_by_threshold_graphs(net, tol)
             assert cliquegram_from_network(net, tol).levels == tuple(expect)
 
+    def test_matches_the_full_enumeration(self):
+        # ties from integer rounding put many edges in one value, late
+        # observation puts values with no edge between them
+        rng = random.Random(72)
+        for k in range(1200):
+            ts = taxa(1 + k % 12)
+            net = random_network(ts, rng, late=rng.random() < 0.5)
+            if rng.random() < 0.4:
+                net = PhyloNetwork(ts, np.round(net.matrix * rng.choice((2, 4, 8))))
+            tol = rng.choice((0.0, 0.0, 0.05, 0.15))
+            expect = clique_levels_by_full_enumeration(net, tol)
+            g = cliquegram_from_network(net, tol)
+            assert g.levels == tuple(expect)
+            assert g.lifespans == Gram(ts, expect, "cliquegram").lifespans
+            assert expect == clique_levels_by_threshold_graphs(net, tol)
+
+    def test_searches_only_the_region_of_the_new_edges(self, monkeypatch):
+        # taxa a-d observed at 0 and e at 2.5; ab and bc at 1, cd at 2,
+        # ac at 3, every other pair at 4
+        ts = taxa(5)
+        m = np.full((5, 5), 4.0)
+        np.fill_diagonal(m, [0.0, 0.0, 0.0, 0.0, 2.5])
+        for (i, j), v in {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 2): 3}.items():
+            m[i, j] = m[j, i] = v
+        net = PhyloNetwork(ts, m)
+        calls = []
+        enumerate_cliques = grams.bron_kerbosch
+
+        def searching(adj, p, x):
+            calls.append((p, x))
+            return enumerate_cliques(adj, p, x)
+
+        monkeypatch.setattr(grams, "bron_kerbosch", searching)
+        levels, enumerated = grams._clique_levels(net, 0.0)
+        assert levels == clique_levels_by_full_enumeration(net)
+        a, b, c, d, e = (1 << i for i in range(5))
+        assert calls == [
+            (a | b | c, d),  # ab and bc share no neighbour
+            (c | d, a | b),  # a late edge whose ends share no neighbour
+            # nothing to search when e is observed; ac closes the triangle
+            # through their common neighbour b
+            (a | b | c, d | e),
+            (ts.full_mask, 0),  # the region covers every vertex
+        ]
+        # ab, bc; cd; abc; abcde
+        assert enumerated == 5
+
     def test_equal_distances_on_a_thousand_taxa(self):
         # the single clique of every taxon is a thousand vertices deep
         ts = TaxaSet(f"t{i:04d}" for i in range(1000))
@@ -380,6 +429,24 @@ class TestCliquegramFromNetwork:
                 back = network_from_cliquegram(cliquegram_from_network(net))
                 assert np.array_equal(back.matrix, net.matrix)
 
+    def test_network_matches_the_block_writes(self):
+        # cliquegrams, treegrams and facegram joins, with ties and -0.0
+        rng = random.Random(73)
+        for k in range(600):
+            ts = taxa(1 + k % 10)
+            parts = [_clique_join_part(ts, rng) for _ in range(rng.randint(1, 3))]
+            g = join_grams(parts, "facegram") if k % 3 == 2 else parts[0]
+            got = network_from_cliquegram(g)
+            assert got.matrix.tobytes() == network_by_block_writes(g).matrix.tobytes()
+        # two 150-taxon clusters: long runs of new partners in every row
+        ts = TaxaSet(f"t{i:04d}" for i in range(300))
+        u = np.full((300, 300), 1.0)
+        u[:150, :150] = 0.5
+        np.fill_diagonal(u, -0.0)
+        g = treegram_from_ultranetwork(Ultranetwork(ts, u))
+        got = network_from_cliquegram(g)
+        assert got.matrix.tobytes() == network_by_block_writes(g).matrix.tobytes()
+
     def test_round_trip_from_gram(self, rng):
         for n in (2, 4, 6):
             ts = taxa(n)
@@ -396,9 +463,11 @@ class TestCliquegramFromNetwork:
         stage, *pairs = record.getMessage().split()
         assert stage == "stage=cliquegram"
         fields = dict(p.split("=") for p in pairs)
-        assert list(fields) == ["taxa", "levels", "faces", "ms"]
-        # levels at 0, 0.5, 1, 2; faces a, b, c, ab, bc, abc
+        assert list(fields) == ["taxa", "levels", "faces", "enumerated", "ms"]
+        # levels at 0, 0.5, 1, 2; faces a, b, c, ab, bc, abc; the searches
+        # list ab and bc at 1 and abc at 2
         assert (fields["taxa"], fields["levels"], fields["faces"]) == ("3", "4", "6")
+        assert fields["enumerated"] == "3"
         assert float(fields["ms"]) >= 0
 
     def test_no_log_line_above_debug(self, caplog, rng):
