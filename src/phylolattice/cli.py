@@ -95,18 +95,26 @@ def _load_gram(path: str) -> Gram:
     raise ValueError(f"{path}: cannot tell the input format from the suffix")
 
 
+def _parse_json(text: str):
+    """The gram, mergegram or diagram of a JSON document.  Only a document
+    of another type goes on to the mergegram parser, so that a broken gram
+    or mergegram reports its own error."""
+    try:
+        return formats.parse_gram_json(text)
+    except ValueError as e:
+        if not str(e).startswith('document "type"'):
+            raise
+    return formats.parse_mergegram_json(text)
+
+
 def _load_mergegram(path: str, labeled: bool = False):
     """A mergegram or diagram document as stored, else the mergegram of the
     gram the file holds; ``labeled`` keeps face labels and refuses
     unlabeled documents."""
-    if Path(path).suffix.lower() == ".json":
-        text = _read(path)
-        try:
-            doc = formats.parse_mergegram_json(text)
-        except ValueError:
-            doc = labeled_mergegram(formats.parse_gram_json(text))
-    else:
-        doc = labeled_mergegram(_load_gram(path))
+    is_json = Path(path).suffix.lower() == ".json"
+    doc = _parse_json(_read(path)) if is_json else _load_gram(path)
+    if isinstance(doc, Gram):
+        doc = labeled_mergegram(doc)
     if isinstance(doc, LabeledMergegram):
         return doc if labeled else doc.unlabeled()
     if labeled:
@@ -125,14 +133,11 @@ def cmd_validate(args) -> int:
         ultras = _load_trees(path)
         print(f"OK: {len(ultras)} tree(s) over {len(ultras[0].universe)} taxa")
     elif suffix == ".json":
-        text = _read(path)
-        try:
-            g = formats.parse_gram_json(text)
-            print(f"OK: {g.kind} with {len(g.levels)} level(s)")
-        except ValueError:
-            doc = formats.parse_mergegram_json(text)
-            name = type(doc).__name__
-            print(f"OK: {name} with {len(doc)} interval(s)")
+        doc = _parse_json(_read(path))
+        if isinstance(doc, Gram):
+            print(f"OK: {doc.kind} with {len(doc.levels)} level(s)")
+        else:
+            print(f"OK: {type(doc).__name__} with {len(doc)} interval(s)")
     else:
         raise ValueError(f"{path}: cannot tell the input format from the suffix")
     return 0

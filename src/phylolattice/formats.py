@@ -244,20 +244,27 @@ def parse_mergegram_json(text: str):
     points = doc.get("points")
     if not isinstance(points, list):
         raise ValueError('"points" must be a list')
-    if doc["type"] == "labeled-mergegram":
+    labeled = doc["type"] == "labeled-mergegram"
+    if labeled:
         universe = TaxaSet(doc.get("taxa", ()))
-        entries = {}
-        for p in points:
-            mask = universe.mask_of(p["label"])
-            if mask in entries:
+    need = ("birth", "death", "label") if labeled else ("birth", "death")
+    rows = []  # (birth, death, face mask or multiplicity)
+    seen = set()  # face masks of a labeled document
+    for i, p in enumerate(points):
+        if not isinstance(p, dict) or not all(k in p for k in need):
+            raise ValueError(f"point {i} must be an object with {', '.join(need)}")
+        try:
+            rest = universe.mask_of(p["label"]) if labeled else int(p.get("mult", 1))
+            rows.append((float(p["birth"]), _death_in(p["death"]), rest))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"point {i}: {e.args[0]}") from None
+        if labeled:
+            if rest in seen:
                 raise ValueError(f"face {p['label']!r} listed twice")
-            entries[mask] = Interval(float(p["birth"]), _death_in(p["death"]))
-        return LabeledMergegram(universe, entries)
-    cls = PersistenceDiagram if doc["type"] == "diagram" else Mergegram
-    return cls(
-        (float(p["birth"]), _death_in(p["death"]), int(p.get("mult", 1)))
-        for p in points
-    )
+            seen.add(rest)
+    if not labeled:
+        return (PersistenceDiagram if doc["type"] == "diagram" else Mergegram)(rows)
+    return LabeledMergegram(universe, {m: Interval(b, d) for b, d, m in rows})
 
 
 # -------------------------------------------------------------------- DOT

@@ -13,18 +13,12 @@ import bisect
 import logging
 import math
 import time
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .faces import (
-    FaceSet,
-    bron_kerbosch,
-    cover_graph,
-    is_subpartition,
-    maximal_cliques,
-    maximal_masks,
-)
+from .faces import FaceSet, bron_kerbosch, is_subpartition, maximal_masks
 from .filtrations import (
     FacegramFiltration,
     Filtration,
@@ -52,10 +46,10 @@ class Gram:
 
     The ``kind`` flag is a classification that is re-checked on
     construction, never trusted: treegram levels must be subpartitions and
-    cliquegram levels must pass the clique-set condition.  Equality
-    compares the universe and the levels; two grams with identical levels
-    are the same diagram regardless of how they are classified.
+    cliquegram levels must pass the clique-set condition.
     ``lifespans`` maps each face ever maximal to its [birth, death).
+    Equality compares the universe and the lifespans, a complete
+    invariant, so neither the kind nor an explicit empty first level counts.
     """
 
     __slots__ = ("universe", "levels", "kind", "criticals", "lifespans")
@@ -122,11 +116,11 @@ class Gram:
         return (
             isinstance(other, Gram)
             and self.universe == other.universe
-            and self.levels == other.levels
+            and self.lifespans == other.lifespans
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.levels))
+        return hash((self.universe, frozenset(self.lifespans.items())))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{t!r}: {fs.names()!r}" for t, fs in self.levels)
@@ -320,10 +314,12 @@ def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
 def network_from_cliquegram(g: Gram) -> PhyloNetwork:
     """First joint-cover times, read off the faces in increasing birth.
 
-    Each taxon keeps the mask of partners already written, so every entry
-    is written once, by the earliest-born face that covers its pair (faces
-    born together share one critical value).  A row's new partners are
-    written one run of consecutive positions at a time.
+    Any gram can be read: an entry is the first time a face covers its
+    pair (or its taxon), and the cliquegram of the result is the gram's
+    squash.  Each taxon keeps the mask of partners already written, so
+    every entry is written once, by the earliest-born face that covers its
+    pair (faces born together share one critical value).  A row's new
+    partners are written one run of consecutive positions at a time.
     """
     n = len(g.universe)
     entries = [0.0] * (n * n)
@@ -415,41 +411,39 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     if isinstance(f, VRFiltration):
         return Gram(f.universe, _clique_levels(f.network, 0.0)[0], "facegram")
     if isinstance(f, PullbackFiltration):
-        base = facegram_from_filtration(f.base)
-        phi = f.phi
-        levels = [
-            (t, FaceSet(f.universe, (phi.preimage_mask(m) for m in fs.faces)))
-            for t, fs in base.levels
-        ]
-        return Gram(f.universe, levels, "facegram")
+        # preimages keep inclusion both ways, so they keep maximality
+        base = facegram_from_filtration(f.base).lifespans.items()
+        births = ((iv.birth, f.phi.preimage_mask(m)) for m, iv in base)
+        return _facegram_of_births(f.universe, births)
     support = f.support_faces()
     if support is None:
         if len(f.universe) > 16:
             raise ValueError("no compact support known; universe too large to enumerate")
-        support = tuple(all_faces(f.universe))
-    return _facegram_from_support(f, support)
+        support = all_faces(f.universe)
+    births = ((f.value(m), m) for m in {*support, f.universe.full_mask})
+    return _facegram_of_births(f.universe, births)
 
 
-def _facegram_from_support(f: Filtration, support: Sequence[int]) -> Gram:
-    universe = f.universe
-    full = universe.full_mask
-    pairs = sorted(
-        {(f.value(m), m) for m in set(support) | {full}}, key=lambda p: p[0]
-    )
+def _facegram_of_births(
+    universe: TaxaSet, births: Iterable[tuple[float, int]], kind: str = "facegram"
+) -> Gram:
+    """The gram whose level at t holds the maximal faces born by t.
+
+    ``births`` are (t, face) pairs, in any order and possibly repeated.
+    The level at each distinct t is the maximal faces among the previous
+    level and the faces born at t.  The previous level is an antichain, so
+    a born face that it does not cover replaces exactly the faces it
+    contains; a t whose faces are all covered already adds no level.
+    """
     levels: list[tuple[float, FaceSet]] = []
-    active: list[int] = []
-    i = 0
-    while i < len(pairs):
-        t = pairs[i][0]
-        while i < len(pairs) and pairs[i][0] == t:
-            active.append(pairs[i][1])
-            i += 1
-        fs = FaceSet(universe, maximal_masks(active))
-        active = list(fs.faces)
-        if levels and levels[-1][1] == fs:
-            continue
-        levels.append((t, fs))
-    return Gram(universe, levels, "facegram")
+    faces: list[int] = []
+    for t, group in groupby(sorted(set(births)), key=lambda e: e[0]):
+        new = maximal_masks(m for _, m in group)
+        new = [m for m in new if not any(m | f == f for f in faces)]
+        if new:
+            faces = [f for f in faces if not any(f | m == m for m in new)] + new
+            levels.append((t, FaceSet(universe, faces)))
+    return Gram(universe, levels, kind)
 
 
 def filtration_from_facegram(g: Gram) -> FacegramFiltration:
@@ -460,12 +454,14 @@ def filtration_from_facegram(g: Gram) -> FacegramFiltration:
 def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
     """Pointwise least upper bound of grams in the chosen lattice.
 
-    ``mode="facegram"`` joins levels as face-sets (maximal faces of the
-    union); critical values are the union of the parts'.
+    ``mode="facegram"`` joins levels as face-sets.  A face alive in a part
+    at t was born there by t, and a face born there by t is covered at t,
+    so the level at t is the maximal faces born by t in any part.
     ``mode="cliquegram"`` requires every part level to be a clique-set and
     joins through the isomorphic lattice of networks: the join is the
     cliquegram of the entrywise minimum of the parts' networks.
     """
+    t0 = time.perf_counter()
     if mode not in ("facegram", "cliquegram"):
         raise ValueError(f"unknown join mode {mode!r}")
     if not parts:
@@ -483,35 +479,35 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
                     raise ValueError(
                         f"cliquegram join requires clique-set levels (t={t!r})"
                     )
-        return cliquegram_from_network(
+        g = cliquegram_from_network(
             network_join([network_from_cliquegram(p) for p in parts])
         )
-    criticals = sorted({t for p in parts for t in p.criticals})
-    levels: list[tuple[float, FaceSet]] = []
-    for t in criticals:
-        masks = [m for p in parts for m in p.level_at(t).faces]
-        fs = FaceSet(universe, maximal_masks(masks))
-        if fs.is_empty:
-            continue
-        if levels and levels[-1][1] == fs:
-            continue
-        levels.append((t, fs))
-    return Gram(universe, levels, "facegram")
+    else:
+        births = ((iv.birth, m) for p in parts for m, iv in p.lifespans.items())
+        g = _facegram_of_births(universe, births)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=join mode=%s parts=%d events=%d levels=%d faces=%d ms=%.3f",
+            mode,
+            len(parts),
+            sum(len(p.lifespans) for p in parts),
+            len(g.levels),
+            len(g.lifespans),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return g
 
 
 def squash_to_cliquegram(g: Gram) -> Gram:
     """Per-level maximal cliques of the one-skeleton of each face-set.
 
-    The levelwise squash is a surjective lattice morphism from facegrams
-    onto cliquegrams; it commutes with joins.
+    The one-skeleton at t joins exactly the taxa and pairs that ``g``
+    covers by t, which is the threshold graph at t of
+    ``network_from_cliquegram(g)``, so the squash is that network's
+    cliquegram.  The squash is a surjective lattice morphism from
+    facegrams onto cliquegrams; it commutes with joins.
     """
-    levels: list[tuple[float, FaceSet]] = []
-    for t, fs in g.levels:
-        sq = FaceSet(g.universe, maximal_cliques(cover_graph(g.universe, fs.faces)))
-        if levels and levels[-1][1] == sq:
-            continue
-        levels.append((t, sq))
-    return Gram(g.universe, levels, "cliquegram")
+    return cliquegram_from_network(network_from_cliquegram(g))
 
 
 def is_treegram(g: Gram) -> bool:

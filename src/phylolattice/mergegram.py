@@ -17,12 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .filtrations import Filtration
-from .grams import (
-    Gram,
-    Interval,
-    _facegram_from_support,
-    facegram_from_filtration,
-)
+from .grams import Gram, Interval, _facegram_of_births, facegram_from_filtration
 from .networks import PhyloNetwork, as_ultranetwork
 from .taxa import TaxaSet
 
@@ -156,7 +151,8 @@ def labeled_mergegram_of_filtration(
     """
     if support is None:
         return labeled_mergegram(facegram_from_filtration(f))
-    return labeled_mergegram(_facegram_from_support(f, support))
+    births = ((f.value(m), m) for m in {*support, f.universe.full_mask})
+    return labeled_mergegram(_facegram_of_births(f.universe, births))
 
 
 def mergegram_of_filtration(
@@ -295,23 +291,20 @@ def gram_from_labeled_mergegram(lm: LabeledMergegram, kind: str = "facegram") ->
     """Rebuild the gram whose levels are the faces alive at each time.
 
     The labeled mergegram is a complete invariant: the level at t is the
-    set of faces whose window contains t.
+    set of faces whose window contains t, which is the maximal faces born
+    by t.  Entries that are not the lifespans of any gram are refused.
     """
-    criticals = sorted(
-        {iv.birth for iv in lm.entries.values()}
-        | {iv.death for iv in lm.entries.values() if math.isfinite(iv.death)}
-    )
-    from .faces import FaceSet
-
-    levels: list[tuple[float, FaceSet]] = []
-    for t in criticals:
-        fs = FaceSet(lm.universe, lm.alive_at(t))
-        if fs.is_empty:
-            continue
-        if levels and levels[-1][1] == fs:
-            continue
-        levels.append((t, fs))
-    return Gram(lm.universe, levels, kind)
+    births = ((iv.birth, m) for m, iv in lm.entries.items())
+    g = _facegram_of_births(lm.universe, births, kind)
+    if g.lifespans != lm.entries:
+        mask, iv = next((m, iv) for m, iv in lm.sorted_entries() if g.lifespans.get(m) != iv)
+        got = g.lifespans.get(mask)
+        where = f"lives on [{got.birth!r}, {got.death!r})" if got else "is never maximal"
+        raise ValueError(
+            f"not the lifespans of a gram: face {lm.universe.names_of(mask)!r} has "
+            f"[{iv.birth!r}, {iv.death!r}) but {where} in the gram its births make"
+        )
+    return g
 
 
 def ph0_elder(u: PhyloNetwork) -> PersistenceDiagram:

@@ -29,6 +29,7 @@ from phylolattice import (
     is_pair_cover_closed,
     is_subpartition,
     maximal_cliques,
+    maximal_masks,
     treegram_from_ultranetwork,
 )
 from phylolattice.faces import bron_kerbosch, cover_graph
@@ -443,6 +444,52 @@ def clique_join_by_levels(parts) -> Gram:
             continue
         levels.append((t, fs))
     return Gram(universe, levels, "cliquegram")
+
+
+def facegram_join_by_levels(parts) -> Gram:
+    """Face-set join level by level: at every critical value of any part,
+    the maximal faces of the union of the parts' levels there."""
+    universe = parts[0].universe
+    levels: list[tuple[float, FaceSet]] = []
+    for t in sorted({t for p in parts for t in p.criticals}):
+        masks = [m for p in parts for m in p.level_at(t).faces]
+        fs = FaceSet(universe, maximal_masks(masks))
+        if fs.is_empty:
+            continue
+        if levels and levels[-1][1] == fs:
+            continue
+        levels.append((t, fs))
+    return Gram(universe, levels, "facegram")
+
+
+def gram_by_alive_at(lm, kind: str = "facegram") -> Gram:
+    """The gram of a labeled mergegram by definition: at every birth and
+    finite death, the faces whose window contains that time."""
+    criticals = sorted(
+        {iv.birth for iv in lm.entries.values()}
+        | {iv.death for iv in lm.entries.values() if math.isfinite(iv.death)}
+    )
+    levels: list[tuple[float, FaceSet]] = []
+    for t in criticals:
+        fs = FaceSet(lm.universe, lm.alive_at(t))
+        if fs.is_empty:
+            continue
+        if levels and levels[-1][1] == fs:
+            continue
+        levels.append((t, fs))
+    return Gram(lm.universe, levels, kind)
+
+
+def squash_by_levels(g) -> Gram:
+    """Squash by definition: at every critical value, the maximal cliques
+    of the level's one-skeleton.  An empty first level stays."""
+    levels: list[tuple[float, FaceSet]] = []
+    for t, fs in g.levels:
+        sq = FaceSet(g.universe, maximal_cliques(cover_graph(g.universe, fs.faces)))
+        if levels and levels[-1][1] == sq:
+            continue
+        levels.append((t, sq))
+    return Gram(g.universe, levels, "cliquegram")
 
 
 def labeled_mergegram_by_superset_scan(f, support=None) -> LabeledMergegram:

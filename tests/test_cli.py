@@ -69,9 +69,49 @@ class TestValidate:
         assert run(["validate", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_broken_gram_reports_its_own_error(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        bad.write_text(
+            '{"format": "phylolattice/1", "type": "gram", "kind": "facegram",'
+            ' "taxa": ["a", "b"], "levels": [{"t": 0, "faces": [["a", "b"]]},'
+            ' {"t": 1, "faces": [["a"], ["b"]]}]}'
+        )
+        for argv in (["validate", str(bad)], ["dist", "--metric", "bottleneck", str(bad), str(bad)]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == "error: levels are not refinement-monotone at t=1.0\n"
+
     def test_missing_file(self, capsys):
         assert run(["validate", "no-such-file.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+_BAD_POINTS = [
+    pytest.param('"oops"', 'point 1 must be an object', id="not-an-object"),
+    pytest.param('{"death": 1, "label": ["a"]}', 'point 1 must be an object', id="no-birth"),
+    pytest.param('{"birth": 0, "label": ["a"]}', 'point 1 must be an object', id="no-death"),
+    pytest.param('{"birth": 0, "death": 1}', 'point 1 must be an object', id="no-label"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["z"]}', "point 1: unknown taxon", id="taxon"),
+]
+
+
+def _bad_mergegram_file(tmp_path, point):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"format": "phylolattice/1", "type": "labeled-mergegram", "taxa": ["a", "b"],'
+        f' "points": [{{"birth": 0, "death": "inf", "label": ["a", "b"]}}, {point}]}}'
+    )
+    return path
+
+
+@pytest.mark.parametrize("point, message", _BAD_POINTS)
+@pytest.mark.parametrize("command", ["validate", "dist"])
+def test_bad_mergegram_point_is_an_error_line(tmp_path, capsys, command, point, message):
+    path = str(_bad_mergegram_file(tmp_path, point))
+    argv = ["validate", path] if command == "validate" else ["dist", "--metric", "linf", path, path]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and message in out.err
+    assert "Traceback" not in out.err and not out.out
 
 
 class TestBuildCommands:

@@ -274,6 +274,30 @@ class TestMergegramJSON:
         with pytest.raises(ValueError, match="listed twice"):
             parse_mergegram_json(doc)
 
+    @pytest.mark.parametrize(
+        "kind, point, message",
+        [
+            ("mergegram", '"oops"', 'point 1 must be an object with birth, death'),
+            ("mergegram", '{"death": 1}', 'point 1 must be an object with birth, death'),
+            ("mergegram", '{"birth": [0], "death": 1}', "point 1: float() argument"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": "x"}', "point 1: invalid literal"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1}',
+             'point 1 must be an object with birth, death, label'),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": ["z"]}',
+             "point 1: unknown taxon 'z'"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": 3}',
+             "point 1: 'int' object is not iterable"),
+        ],
+    )
+    def test_bad_point_names_its_index(self, kind, point, message):
+        doc = (
+            f'{{"format": "phylolattice/1", "type": "{kind}", "taxa": ["a", "b"],'
+            f' "points": [{{"birth": 0, "death": 2, "label": ["a", "b"]}}, {point}]}}'
+        )
+        with pytest.raises(ValueError) as err:
+            parse_mergegram_json(doc)
+        assert str(err.value).startswith(message)
+
     def test_bad_death(self):
         doc = (
             '{"format": "phylolattice/1", "type": "mergegram",'

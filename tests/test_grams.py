@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import numpy as np
@@ -27,8 +28,10 @@ from phylolattice import (
     treegram_from_ultranetwork,
     Surjection,
     TaxaSet,
+    gram_from_labeled_mergegram,
     gram_json,
     is_subpartition,
+    labeled_mergegram,
     maximal_masks,
 )
 
@@ -37,11 +40,20 @@ from oracles import (
     clique_levels_by_full_enumeration,
     clique_levels_by_threshold_graphs,
     enumerate_maximal_cliques,
+    facegram_join_by_levels,
     first_non_clique_set_level,
+    gram_by_alive_at,
     gram_leq_by_levels,
     network_by_block_writes,
+    squash_by_levels,
 )
-from util import gram_of, random_network, random_ultrametric, taxa
+from util import (
+    gram_of,
+    random_network,
+    random_ultrametric,
+    taxa,
+    with_empty_first_level,
+)
 
 
 def fs(ts, *names):
@@ -669,8 +681,42 @@ class TestJoin:
         with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
             join_grams(parts, "cliquegram")
         records = [r for r in caplog.records if r.name == "phylolattice.grams"]
-        assert [r.getMessage().split()[0] for r in records] == ["stage=cliquegram"]
-        assert records[0].levelno == logging.DEBUG
+        # one sweep for the whole join, then the join's own line
+        stages = [r.getMessage().split()[0] for r in records]
+        assert stages == ["stage=cliquegram", "stage=join"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+
+    def test_debug_line(self, caplog):
+        ts = taxa(3)
+        parts = [
+            gram_of(ts, [(0.0, [["a"], ["b"]]), (1.0, [["a", "b"], ["c"]]),
+                         (2.0, [["a", "b", "c"]])]),
+            gram_of(ts, [(0.5, [["b", "c"]]), (2.0, [["a", "b", "c"]])]),
+        ]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            join_grams(parts, "facegram")
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.grams"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=join"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["mode", "parts", "events", "levels", "faces", "ms"]
+        # births a, b, ab, c, abc and bc, abc; levels at 0, 0.5, 1, 2 with
+        # faces a, b, bc, ab, abc
+        assert [fields[k] for k in ("mode", "parts", "events", "levels", "faces")] == [
+            "facegram", "2", "7", "4", "5"
+        ]
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        ts = taxa(5)
+        parts = [
+            treegram_from_ultranetwork(random_ultrametric(ts, rng)) for _ in range(3)
+        ]
+        with caplog.at_level(logging.INFO, logger="phylolattice.grams"):
+            for mode in ("facegram", "cliquegram"):
+                join_grams(parts, mode)
+        assert not [r for r in caplog.records if r.name == "phylolattice.grams"]
 
     def test_clique_join_of_thousand_taxon_stars(self):
         # two star trees whose join is one clique of every taxon
@@ -728,3 +774,60 @@ class TestSquash:
         assert sq.kind == "cliquegram"
         assert sq.level_at(0.0) == fs(ts, "abc")
         assert sq.criticals == (0.0,)
+
+
+def _birth_part(ts, rng):
+    """A part for the birth-built grams: a network cliquegram, a treegram,
+    the facegram kind of a network cliquegram, or random monotone facegram
+    levels.  Half of the networks observe taxa late, three in four tie
+    through integer rounding at x2, x4 or x8, one in ten carries its zeros
+    as -0.0, and one in four parts lists an explicit empty first level."""
+    late = rng.random() < 0.5
+    scale = rng.choice((None, 2, 4, 8))
+    kind = rng.randrange(4)
+    if kind == 3:
+        g = Gram(ts, _monotone_levels(ts, rng), "facegram")
+    else:
+        net = (random_ultrametric if kind == 1 else random_network)(ts, rng, late)
+        m = net.matrix if scale is None else np.round(net.matrix * scale)
+        if rng.random() < 0.1:
+            m = np.where(m == 0, -0.0, m)
+        if kind == 1:
+            g = treegram_from_ultranetwork(Ultranetwork(ts, m))
+        else:
+            g = cliquegram_from_network(PhyloNetwork(ts, m))
+            g = g if kind == 0 else g.with_kind("facegram")
+    return with_empty_first_level(g) if rng.random() < 0.25 else g
+
+
+def test_births_match_the_levelwise_loops():
+    # the facegram join, the squash and the labeled-mergegram rebuild
+    # against the loops that rebuilt a level at every critical value
+    rng = random.Random(1010)
+    empty_first = mixed_zeros = 0
+    for _ in range(1000):
+        ts = taxa(rng.randint(1, 9))
+        parts = [_birth_part(ts, rng) for _ in range(rng.randint(1, 4))]
+        join = join_grams(parts, "facegram")
+        pairs = [(join, facegram_join_by_levels(parts))]
+        for g in (join, *parts):
+            pairs.append((squash_to_cliquegram(g), squash_by_levels(g)))
+            lm = labeled_mergegram(g)
+            pairs.append((gram_from_labeled_mergegram(lm, g.kind), gram_by_alive_at(lm, g.kind)))
+        # the old join kept whichever signed zero it met first as the
+        # critical value; -0.0 == 0.0, so such joins are compared by value
+        signs = {math.copysign(1.0, t) for p in parts for t in p.criticals if t == 0}
+        mixed_zeros += len(signs) > 1
+        for k, (got, expect) in enumerate(pairs):
+            assert got == expect
+            assert hash(got) == hash(expect)
+            assert got.kind == expect.kind
+            assert got.lifespans == expect.lifespans
+            if expect.levels[0][1].is_empty:
+                # the levelwise squash keeps an explicit empty first level
+                empty_first += 1
+                assert not got.levels[0][1].is_empty
+                assert got.levels == expect.levels[1:]
+            elif k or len(signs) < 2:
+                assert gram_json(got) == gram_json(expect)
+    assert empty_first >= 300 and mixed_zeros >= 50, (empty_first, mixed_zeros)

@@ -1,6 +1,7 @@
 """Property tests for the lattice laws on seeded treegram families, for
-the network-cliquegram round trip through gram JSON, and for the
-bottleneck metric on small diagrams."""
+the network-cliquegram round trip through gram JSON, for the
+filtration-facegram round trip, and for the bottleneck metric on small
+diagrams."""
 
 import math
 import random
@@ -13,11 +14,16 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from phylolattice import (
+    FaceSet,
+    Gram,
     Mergegram,
     PhyloNetwork,
+    TaxaSet,
     bottleneck_distance,
     bottleneck_matching,
     cliquegram_from_network,
+    facegram_from_filtration,
+    filtration_from_facegram,
     gram_json,
     join_grams,
     join_mergegram_of_treegrams,
@@ -29,7 +35,7 @@ from phylolattice import (
 )
 
 from oracles import exhaustive_bottleneck, join_mergegram_by_scan
-from util import random_ultrametric, taxa
+from util import random_ultrametric, taxa, with_empty_first_level
 
 MODES = ("facegram", "cliquegram")
 LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -56,6 +62,22 @@ def test_join_is_commutative_associative_idempotent(ultras):
         assert left == join_grams([a, b, c], mode)
         assert join_grams([a, a], mode) == a
         assert join_grams([ab, ab], mode) == ab
+        # an explicit empty first level lists no face, so it changes nothing
+        e = with_empty_first_level(a)
+        assert e == a and hash(e) == hash(a)
+        assert join_grams([e], mode) == e
+        assert join_grams([e, e], mode) == e
+        assert join_grams([e, b], mode) == ab
+
+
+def test_join_is_idempotent_on_an_explicit_empty_level():
+    ts = TaxaSet("ab")
+    full = FaceSet(ts, (ts.full_mask,))
+    g = Gram(ts, [(0.0, FaceSet(ts, ())), (1.0, full)])
+    for mode in MODES:
+        assert join_grams([g], mode) == g
+        assert join_grams([g, g], mode) == g
+    assert squash_to_cliquegram(g) == g
 
 
 @LAWS
@@ -80,6 +102,17 @@ def test_fast_tree_join_equals_materialized_and_scan_joins(ultras):
     grams = [treegram_from_ultranetwork(u) for u in ultras]
     assert fast == labeled_mergegram(join_grams(grams, "facegram"))
     assert fast == join_mergegram_by_scan(ultras)
+
+
+@LAWS
+@given(tree_families())
+def test_facegram_filtration_round_trip(ultras):
+    trees = [treegram_from_ultranetwork(u) for u in ultras]
+    join = join_grams(trees, "facegram")
+    for g in (*trees, join, squash_to_cliquegram(join), with_empty_first_level(join)):
+        back = facegram_from_filtration(filtration_from_facegram(g))
+        assert back == g
+        assert back.lifespans == g.lifespans
 
 
 # a coarse grid, so that entries tie

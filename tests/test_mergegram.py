@@ -413,6 +413,29 @@ class TestCompleteInvariant:
         lm = labeled_mergegram(treegram_from_ultranetwork(u))
         assert gram_from_labeled_mergegram(lm, "treegram").kind == "treegram"
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # a on [0, 1) then nothing until ab: the gram keeps a until 2
+            (
+                {0b01: Interval(0.0, 1.0), 0b11: Interval(2.0, INF)},
+                "face ('a',) has [0.0, 1.0) but lives on [0.0, 2.0)",
+            ),
+            # a full face that dies; a gram's full face lives on
+            ({0b11: Interval(0.0, 5.0)}, "face ('a', 'b') has [0.0, 5.0) but lives on [0.0, inf)"),
+            # a is born after ab covers it
+            (
+                {0b01: Interval(1.0, 2.0), 0b11: Interval(0.0, INF)},
+                "face ('a',) has [1.0, 2.0) but is never maximal",
+            ),
+        ],
+    )
+    def test_refuses_entries_that_are_no_gram(self, entries, message):
+        lm = LabeledMergegram(taxa(2), entries)
+        with pytest.raises(ValueError, match="not the lifespans of a gram") as err:
+            gram_from_labeled_mergegram(lm)
+        assert message in str(err.value)
+
 
 def test_unlabeled_mergegram_is_relabeling_invariant(rng):
     ts = taxa(5)

@@ -1,0 +1,36 @@
+"""Library code reads grams and labeled mergegrams through their
+lifespans.  ``Gram.level_at`` and ``LabeledMergegram.alive_at`` each
+rebuild a level, so a loop over critical values that calls them rebuilds
+a level per value; they stay public readers, and the slow reference paths
+in ``tests/oracles.py`` use them."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "phylolattice"
+LEVELWISE = ("level_at", "alive_at")
+
+
+def _levelwise_calls(path: Path):
+    """``file:line .name(`` for every call of a levelwise reader in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LEVELWISE
+        ):
+            yield f"{path.name}:{node.lineno} .{node.func.attr}("
+
+
+def test_library_calls_no_levelwise_reader():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [c for path in modules for c in _levelwise_calls(path)]
+    assert not found, f"levelwise reads in the library: {found}"
+
+
+def test_the_scan_sees_the_oracles_calls():
+    found = list(_levelwise_calls(ROOT / "tests" / "oracles.py"))
+    assert {c.rsplit(" ", 1)[1] for c in found} == {".level_at(", ".alive_at("}

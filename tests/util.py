@@ -59,6 +59,13 @@ def gram_of(ts: TaxaSet, levels, kind="facegram") -> Gram:
     return Gram(ts, [(t, FaceSet.from_names(ts, fs)) for t, fs in levels], kind)
 
 
+def with_empty_first_level(g: Gram) -> Gram:
+    """The same diagram with an explicit empty level one unit before its
+    first critical value."""
+    empty = FaceSet(g.universe, ())
+    return Gram(g.universe, [(g.criticals[0] - 1.0, empty), *g.levels], g.kind)
+
+
 def random_monotone_table(ts, rng):
     """Monotone filtration on all faces: running max of i.i.d. face weights."""
     raw = {m: round(rng.uniform(0, 2), 3) for m in all_faces(ts)}
