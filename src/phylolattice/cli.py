@@ -81,10 +81,19 @@ def _load_trees(path: str):
     return ultras
 
 
+def _parse_gram(text: str) -> Gram:
+    """``formats.parse_gram_json``, with a malformed face list (an unknown
+    taxon, a face that is not a list of names) reported as a ``ValueError``."""
+    try:
+        return formats.parse_gram_json(text)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"bad gram face: {e.args[0]}") from None
+
+
 def _load_gram(path: str) -> Gram:
     suffix = Path(path).suffix.lower()
     if suffix == ".json":
-        return formats.parse_gram_json(_read(path))
+        return _parse_gram(_read(path))
     if suffix == ".csv":
         return cliquegram_from_network(formats.parse_matrix_csv(_read(path)))
     if suffix in _NEWICK_SUFFIXES:
@@ -100,7 +109,7 @@ def _parse_json(text: str):
     of another type goes on to the mergegram parser, so that a broken gram
     or mergegram reports its own error."""
     try:
-        return formats.parse_gram_json(text)
+        return _parse_gram(text)
     except ValueError as e:
         if not str(e).startswith('document "type"'):
             raise
@@ -195,7 +204,7 @@ def cmd_mergegram(args) -> int:
 
 
 def cmd_reeb(args) -> int:
-    g = formats.parse_gram_json(_read(args.input))
+    g = _parse_gram(_read(args.input))
     _write(args.output, formats.reeb_dot(face_reeb_graph(g)))
     return 0
 

@@ -21,7 +21,6 @@ class ExperimentConfig:
     trees: int
     seed: int = 0
     method: str = "upgma"
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.taxa < 1:

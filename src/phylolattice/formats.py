@@ -187,12 +187,22 @@ def parse_gram_json(text: str) -> Gram:
             mask = masks[key] = universe.mask_of(key)
         return mask
 
+    items = doc.get("levels", [])
+    if not isinstance(items, list):
+        raise ValueError('"levels" must be a list')
     levels = []
-    for item in doc.get("levels", ()):
+    for i, item in enumerate(items):
         if not isinstance(item, dict) or "t" not in item or "faces" not in item:
             raise ValueError('each level needs "t" and "faces"')
+        t = item["t"]
+        if not isinstance(t, (int, float)) or isinstance(t, bool):
+            raise ValueError(f'level {i}: "t" must be a number, got {t!r}')
+        try:
+            t = float(t)
+        except OverflowError as e:
+            raise ValueError(f"level {i}: {e.args[0]}") from None
         fs = FaceSet(universe, [mask_of(names) for names in item["faces"]])
-        levels.append((float(item["t"]), fs))
+        levels.append((t, fs))
     g = Gram(universe, levels, kind)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -256,7 +266,7 @@ def parse_mergegram_json(text: str):
         try:
             rest = universe.mask_of(p["label"]) if labeled else int(p.get("mult", 1))
             rows.append((float(p["birth"]), _death_in(p["death"]), rest))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"point {i}: {e.args[0]}") from None
         if labeled:
             if rest in seen:

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .faces import FaceSet, bron_kerbosch, is_subpartition, maximal_masks
+from .faces import _first_non_clique_set_level
 from .filtrations import (
     FacegramFiltration,
     Filtration,
@@ -67,8 +68,6 @@ class Gram:
             raise ValueError("a gram needs at least one level")
         alive: dict[int, float] = {}  # faces of the previous level -> birth
         spans: dict[int, Interval] = {}
-        cliques = _CliqueSetCheck(len(universe)) if kind == "cliquegram" else None
-        not_clique_t = None  # the first level that is not a clique-set
         prev_t = None
         for t, fs in lv:
             if not isinstance(fs, FaceSet) or fs.universe != universe:
@@ -85,8 +84,6 @@ class Gram:
                     raise ValueError(f"levels are not refinement-monotone at t={t!r}")
                 if not dying and not born:
                     raise ValueError(f"consecutive levels at t={t!r} are identical")
-            if cliques is not None and not_clique_t is None and not cliques.level(fs, born):
-                not_clique_t = t
             for m in dying:
                 spans[m] = Interval(alive.pop(m), t)
             for m in born:
@@ -102,8 +99,10 @@ class Gram:
             for t, fs in lv:
                 if not is_subpartition(fs):
                     raise ValueError(f"treegram level at t={t!r} is not a subpartition")
-        elif not_clique_t is not None:
-            raise ValueError(f"cliquegram level at t={not_clique_t!r} is not a clique-set")
+        elif kind == "cliquegram":
+            t = _first_non_clique_set_level(len(universe), lv)
+            if t is not None:
+                raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
         spans[universe.full_mask] = Interval(alive[universe.full_mask], math.inf)
         self.universe = universe
         self.levels = lv
@@ -139,70 +138,6 @@ class Gram:
 
     def with_kind(self, kind: str) -> "Gram":
         return Gram(self.universe, self.levels, kind)
-
-
-class _CliqueSetCheck:
-    """Clique-set test of a refinement-monotone gram's levels, fed in order.
-
-    Exact for a level as long as every earlier level passed.  Then the
-    cover graph is the previous level's plus the edges of the born faces,
-    and a maximal clique that uses only old edges lies in a face of the
-    previous level, hence in a face of this one, so it is that face.  A new
-    edge (i, j) of a born face m lies in no maximal clique but m unless i
-    and j share a neighbour outside m; one pivoted Bron-Kerbosch over the
-    common neighbourhoods of the edges that do checks every clique they
-    can lie in.  A subpartition level passes at once and drops the cover
-    graph; the next overlapping level rebuilds it from its predecessor.
-    """
-
-    __slots__ = ("n", "adj", "vertices", "prev")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[int] | None = None  # cover graph of the previous level
-        self.vertices = 0  # its vertex mask
-        self.prev: tuple[int, ...] = ()
-
-    def level(self, fs: FaceSet, born: Iterable[int]) -> bool:
-        """True when ``fs`` is a clique-set; ``born`` are its faces that
-        the previous level lacks."""
-        prev, self.prev = self.prev, fs.faces
-        if is_subpartition(fs):
-            self.adj = None
-            return True
-        adj = self.adj
-        if adj is None:
-            adj = self.adj = [0] * self.n
-            self.vertices = 0
-            for f in prev:
-                self.vertices |= f
-                for i in bits(f):
-                    adj[i] |= f & ~(1 << i)
-        fresh = []  # (born face, vertex i, its new neighbours above i)
-        for m in born:
-            self.vertices |= m
-            for i in bits(m):
-                low = (2 << i) - 1
-                new = m & ~adj[i] & ~low
-                adj[i] |= m & ~(1 << i)
-                if new:
-                    fresh.append((m, i, new))
-        region = 0
-        for m, i, new in fresh:
-            outside = adj[i] & ~m
-            if not outside:
-                continue
-            shared = suspects = 0
-            for j in bits(new):
-                if adj[j] & outside:
-                    suspects |= 1 << j
-                    shared |= adj[j]
-            if suspects:
-                region |= (1 << i) | suspects | (adj[i] & shared)
-        if not region:
-            return True
-        faces = set(fs.faces)
-        return all(c in faces for c in bron_kerbosch(adj, region, self.vertices & ~region))
 
 
 def gram_leq(a: Gram, b: Gram) -> bool:
@@ -472,13 +407,9 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
             raise ValueError("grams live over different universes")
     if mode == "cliquegram":
         for p in parts:
-            cliques = _CliqueSetCheck(len(universe))
-            for t, fs in p.levels:
-                born = [m for m in fs.faces if p.lifespans[m].birth == t]
-                if not cliques.level(fs, born):
-                    raise ValueError(
-                        f"cliquegram join requires clique-set levels (t={t!r})"
-                    )
+            t = _first_non_clique_set_level(len(universe), p.levels)
+            if t is not None:
+                raise ValueError(f"cliquegram join requires clique-set levels (t={t!r})")
         g = cliquegram_from_network(
             network_join([network_from_cliquegram(p) for p in parts])
         )

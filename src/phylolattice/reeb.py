@@ -10,6 +10,7 @@ vertices.  The topmost slab is a single half-infinite edge.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .faces import canonical_faces
 from .grams import Gram
@@ -94,12 +95,10 @@ class ReebGraph:
     def finite_edge_count(self) -> int:
         return sum(len(es) for es in self.edge_sets[:-1])
 
-    def _vertex_id(self, level: int, comp: int) -> int:
-        return sum(self.vertex_counts[:level]) + comp
-
     def component_count(self) -> int:
         total = self.vertex_count
         parent = list(range(total))
+        first = list(accumulate(self.vertex_counts, initial=0))  # level -> first vertex id
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -109,8 +108,8 @@ class ReebGraph:
 
         for i in range(len(self.criticals) - 1):
             for m in self.edge_sets[i]:
-                a = find(self._vertex_id(i, self.down[i][m]))
-                b = find(self._vertex_id(i + 1, self.up[i][m]))
+                a = find(first[i] + self.down[i][m])
+                b = find(first[i + 1] + self.up[i][m])
                 if a != b:
                     parent[b] = a
         return len({find(v) for v in range(total)})

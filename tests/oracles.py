@@ -26,7 +26,6 @@ from phylolattice import (
     all_faces,
     bits,
     faceset_leq,
-    is_pair_cover_closed,
     is_subpartition,
     maximal_cliques,
     maximal_masks,
@@ -321,11 +320,17 @@ def join_mergegram_by_matrix(ultras) -> LabeledMergegram:
     return LabeledMergegram(universe, entries)
 
 
+def is_clique_set_by_enumeration(fs: FaceSet) -> bool:
+    """The full clique-set check: a validated cover graph and every one of
+    its maximal cliques, compared with the faces."""
+    return maximal_cliques(cover_graph(fs.universe, fs.faces)) == fs.faces
+
+
 def first_non_clique_set_level(levels) -> float | None:
-    """The first critical value whose level is not a clique-set, by a full
-    cover-graph build and maximal-clique enumeration on every level."""
+    """The first critical value whose level is not a clique-set, by the
+    full check on every level."""
     for t, fs in levels:
-        if not is_subpartition(fs) and not is_pair_cover_closed(fs):
+        if not is_subpartition(fs) and not is_clique_set_by_enumeration(fs):
             return t
     return None
 

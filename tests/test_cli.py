@@ -91,6 +91,11 @@ _BAD_POINTS = [
     pytest.param('{"birth": 0, "label": ["a"]}', 'point 1 must be an object', id="no-death"),
     pytest.param('{"birth": 0, "death": 1}', 'point 1 must be an object', id="no-label"),
     pytest.param('{"birth": 0, "death": 1, "label": ["z"]}', "point 1: unknown taxon", id="taxon"),
+    pytest.param(
+        '{"birth": 1' + "0" * 400 + ', "death": 1, "label": ["a"]}',
+        "point 1: int too large",
+        id="overflow",
+    ),
 ]
 
 
@@ -112,6 +117,48 @@ def test_bad_mergegram_point_is_an_error_line(tmp_path, capsys, command, point, 
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and message in out.err
     assert "Traceback" not in out.err and not out.out
+
+
+_BAD_GRAMS = [
+    pytest.param({"levels": 5}, '"levels" must be a list', id="levels-not-a-list"),
+    pytest.param({"t": [0]}, 'level 0: "t" must be a number', id="t-list"),
+    pytest.param({"t": True}, 'level 0: "t" must be a number', id="t-bool"),
+    pytest.param({"t": "x"}, 'level 0: "t" must be a number', id="t-string"),
+    pytest.param({"t": 10**400}, "level 0: int too large", id="t-overflow"),
+    pytest.param({"faces": [["z"]]}, "unknown taxon 'z'", id="taxon"),
+    pytest.param({"faces": [1]}, "'int' object is not iterable", id="face-not-a-list"),
+    pytest.param({"faces": 5}, "'int' object is not iterable", id="faces-not-a-list"),
+]
+
+
+def _bad_gram_file(tmp_path, change):
+    level = {"t": 0, "faces": [["a"], ["b"]]}
+    level.update((k, v) for k, v in change.items() if k != "levels")
+    doc = {
+        "format": "phylolattice/1",
+        "type": "gram",
+        "kind": "facegram",
+        "taxa": ["a", "b"],
+        "levels": change.get("levels", [level, {"t": 1, "faces": [["a", "b"]]}]),
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("change, message", _BAD_GRAMS)
+@pytest.mark.parametrize("command", ["validate", "reeb", "dist"])
+def test_bad_gram_is_an_error_line(tmp_path, capsys, command, change, message):
+    path = str(_bad_gram_file(tmp_path, change))
+    argv = {
+        "validate": ["validate", path],
+        "reeb": ["reeb", "--in", path],
+        "dist": ["dist", "--metric", "interleaving", path, path],
+    }[command]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and message in out.err
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err and not out.out
 
 
 class TestBuildCommands:

@@ -158,6 +158,33 @@ class TestGramJSON:
             assert parse_gram_json(text) == g
 
     @pytest.mark.parametrize(
+        "levels, message",
+        [
+            (5, '"levels" must be a list'),
+            ({"t": 0}, '"levels" must be a list'),
+            ([{"t": 0, "faces": [["a", "b"]]}, {"t": [1], "faces": []}],
+             'level 1: "t" must be a number, got [1]'),
+            ([{"t": True, "faces": [["a", "b"]]}], 'level 0: "t" must be a number, got True'),
+            ([{"t": "x", "faces": [["a", "b"]]}], "level 0: \"t\" must be a number, got 'x'"),
+            ([{"t": None, "faces": [["a", "b"]]}], 'level 0: "t" must be a number, got None'),
+            ([{"t": 10**400, "faces": [["a", "b"]]}], "level 0: int too large to convert to float"),
+        ],
+    )
+    def test_level_errors_are_positioned(self, levels, message):
+        doc = json.dumps(
+            {
+                "format": "phylolattice/1",
+                "type": "gram",
+                "kind": "facegram",
+                "taxa": ["a", "b"],
+                "levels": levels,
+            }
+        )
+        with pytest.raises(ValueError) as err:
+            parse_gram_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "faces, error, message",
         [
             ([["z"]], KeyError, "\"unknown taxon 'z'\""),

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from phylolattice import grams
+from phylolattice import faces, grams
 from phylolattice import (
     FaceSet,
     Gram,
@@ -287,15 +287,42 @@ class TestCliqueSetCheck:
         assert first_non_clique_set_level(levels) is None
         Gram(ts, levels, "cliquegram")
 
+    def test_debug_line(self, caplog):
+        # the pair ab lies in both faces, and c and d are its neighbours
+        # outside each, so one region search lists the two cliques
+        ts = taxa(4)
+        levels = [(0.0, fs(ts, "abc", "abd")), (1.0, fs(ts, "abcd"))]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.faces"):
+            Gram(ts, levels, "cliquegram")
+            with pytest.raises(ValueError):
+                Gram(ts, [(0.0, fs(ts, "ab", "bc", "ac", "d"))] + levels[1:], "cliquegram")
+        records = [r for r in caplog.records if r.name == "phylolattice.faces"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        counts = []
+        for record in records:
+            stage, *pairs = record.getMessage().split()
+            assert stage == "stage=clique_check"
+            fields = dict(p.split("=") for p in pairs)
+            assert list(fields) == ["levels", "regions", "enumerated", "ms"]
+            counts.append((fields["levels"], fields["regions"], fields["enumerated"]))
+            assert float(fields["ms"]) >= 0
+        # the failing gram stops at its first level, on the clique abc
+        assert counts == [("2", "1", "2"), ("1", "1", "1")]
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        with caplog.at_level(logging.INFO, logger="phylolattice.faces"):
+            cliquegram_from_network(random_network(taxa(5), rng, late=True))
+        assert not [r for r in caplog.records if r.name == "phylolattice.faces"]
+
     def _count_calls(self, monkeypatch):
         calls = []
-        enumerate_cliques = grams.bron_kerbosch
+        enumerate_cliques = faces.bron_kerbosch
 
         def counting(adj, p, x):
             calls.append(p)
             return enumerate_cliques(adj, p, x)
 
-        monkeypatch.setattr(grams, "bron_kerbosch", counting)
+        monkeypatch.setattr(faces, "bron_kerbosch", counting)
         return calls
 
     def test_one_enumeration_per_overlapping_level(self, monkeypatch):
@@ -402,7 +429,7 @@ class TestCliquegramFromNetwork:
             m[i, j] = m[j, i] = v
         net = PhyloNetwork(ts, m)
         calls = []
-        enumerate_cliques = grams.bron_kerbosch
+        enumerate_cliques = faces.bron_kerbosch
 
         def searching(adj, p, x):
             calls.append((p, x))

@@ -22,9 +22,13 @@ from phylolattice import (
     bits,
     TaxaSet,
 )
-from phylolattice.faces import bron_kerbosch
+from phylolattice.faces import bron_kerbosch, cover_graph
 
-from oracles import bron_kerbosch_by_recursion, enumerate_maximal_cliques
+from oracles import (
+    bron_kerbosch_by_recursion,
+    enumerate_maximal_cliques,
+    is_clique_set_by_enumeration,
+)
 from util import taxa
 
 
@@ -32,6 +36,17 @@ def random_graph(ts, rng, p=0.5):
     n = len(ts)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(ts, ts.full_mask, edges)
+
+
+def random_faceset(ts, rng):
+    """The maximal masks among one to eight random masks of at most n - 1
+    taxa: pairwise-overlapping faces are common, so are uncovered triangles."""
+    n = len(ts)
+    masks = []
+    for _ in range(rng.randint(1, 8)):
+        size = rng.randint(1, max(1, n - 1))
+        masks.append(sum(1 << i for i in rng.sample(range(n), size)))
+    return FaceSet(ts, maximal_masks(masks))
 
 
 class TestTaxaSet:
@@ -228,6 +243,34 @@ class TestCliqueSetValidation:
                 cs = cliqueset_from_graph(g)
                 assert graph_from_cliqueset(cs) == g
                 assert cliqueset_from_graph(graph_from_cliqueset(cs)) == cs
+
+    def test_matches_the_full_check(self):
+        rng = random.Random(62)
+        outcomes = {True: 0, False: 0}
+        for k in range(12000):
+            ts = taxa(1 + k % 8)
+            f = random_faceset(ts, rng)
+            expect = is_clique_set_by_enumeration(f)
+            outcomes[expect] += 1
+            assert is_pair_cover_closed(f) == expect
+            if expect:
+                assert CliqueSet(ts, f.faces) == f
+            else:
+                with pytest.raises(ValueError, match="maximal-clique"):
+                    CliqueSet(ts, f.faces)
+        assert min(outcomes.values()) >= 1000, outcomes
+
+    def test_join_is_the_cliques_of_the_union_cover_graph(self):
+        rng = random.Random(63)
+        for k in range(1200):
+            ts = taxa(1 + k % 8)
+            parts = [random_faceset(ts, rng) for _ in range(rng.randint(1, 3))]
+            union = cover_graph(ts, [m for p in parts for m in p.faces])
+            joined = cliqueset_join(parts)
+            assert type(joined) is CliqueSet
+            assert joined.faces == canonical_faces(enumerate_maximal_cliques(union))
+        ts = taxa(3)
+        assert cliqueset_join([FaceSet(ts, ()), FaceSet(ts, ())]) == CliqueSet(ts, ())
 
     def test_subpartition(self):
         ts = taxa(4)
