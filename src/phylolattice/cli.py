@@ -81,19 +81,10 @@ def _load_trees(path: str):
     return ultras
 
 
-def _parse_gram(text: str) -> Gram:
-    """``formats.parse_gram_json``, with a malformed face list (an unknown
-    taxon, a face that is not a list of names) reported as a ``ValueError``."""
-    try:
-        return formats.parse_gram_json(text)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"bad gram face: {e.args[0]}") from None
-
-
 def _load_gram(path: str) -> Gram:
     suffix = Path(path).suffix.lower()
     if suffix == ".json":
-        return _parse_gram(_read(path))
+        return formats.parse_gram_json(_read(path))
     if suffix == ".csv":
         return cliquegram_from_network(formats.parse_matrix_csv(_read(path)))
     if suffix in _NEWICK_SUFFIXES:
@@ -109,11 +100,19 @@ def _parse_json(text: str):
     of another type goes on to the mergegram parser, so that a broken gram
     or mergegram reports its own error."""
     try:
-        return _parse_gram(text)
+        return formats.parse_gram_json(text)
     except ValueError as e:
         if not str(e).startswith('document "type"'):
             raise
     return formats.parse_mergegram_json(text)
+
+
+def _labeled_mergegram_of(path: str) -> LabeledMergegram:
+    """The labeled mergegram of a gram, matrix or tree file; a Newick file
+    goes through the direct join of its trees, not a materialized gram."""
+    if Path(path).suffix.lower() in _NEWICK_SUFFIXES:
+        return join_mergegram_of_treegrams(_load_trees(path))
+    return labeled_mergegram(_load_gram(path))
 
 
 def _load_mergegram(path: str, labeled: bool = False):
@@ -121,7 +120,7 @@ def _load_mergegram(path: str, labeled: bool = False):
     gram the file holds; ``labeled`` keeps face labels and refuses
     unlabeled documents."""
     is_json = Path(path).suffix.lower() == ".json"
-    doc = _parse_json(_read(path)) if is_json else _load_gram(path)
+    doc = _parse_json(_read(path)) if is_json else _labeled_mergegram_of(path)
     if isinstance(doc, Gram):
         doc = labeled_mergegram(doc)
     if isinstance(doc, LabeledMergegram):
@@ -176,22 +175,7 @@ def cmd_join(args) -> int:
 
 
 def cmd_mergegram(args) -> int:
-    path = args.input
-    suffix = Path(path).suffix.lower()
-    if args.fast_tree_join and suffix not in _NEWICK_SUFFIXES:
-        raise ValueError("--fast-tree-join needs Newick input")
-    if args.fast_tree_join:
-        ultras = _load_trees(path)
-        lm = join_mergegram_of_treegrams(ultras)
-        if log.isEnabledFor(logging.DEBUG):
-            slow = labeled_mergegram(
-                join_grams([treegram_from_ultranetwork(u) for u in ultras], "facegram")
-            )
-            if lm != slow:
-                raise RuntimeError("fast tree join disagrees with the join route")
-            log.debug("fast tree join verified against the join route")
-    else:
-        lm = labeled_mergegram(_load_gram(path))
+    lm = _labeled_mergegram_of(args.input)
     payload = (
         formats.labeled_mergegram_json(lm)
         if args.labeled
@@ -204,7 +188,7 @@ def cmd_mergegram(args) -> int:
 
 
 def cmd_reeb(args) -> int:
-    g = _parse_gram(_read(args.input))
+    g = formats.parse_gram_json(_read(args.input))
     _write(args.output, formats.reeb_dot(face_reeb_graph(g)))
     return 0
 
@@ -305,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("mergegram", help="mergegram of a gram, matrix, or tree file")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--labeled", action="store_true", help="keep face labels")
-    q.add_argument(
-        "--fast-tree-join",
-        action="store_true",
-        help="direct join mergegram of a multi-tree Newick file",
-    )
     q.add_argument("-o", "--output", default=None)
     q.add_argument("--svg", default=None, help="also write a diagram plot")
     q.set_defaults(func=cmd_mergegram)

@@ -64,25 +64,24 @@ class VRFiltration(Filtration):
 
 
 class FacegramFiltration(Filtration):
-    """First level of a facegram whose face-set covers the queried face."""
+    """First time a facegram covers the queried face, read off its lifespans:
+    a face of the gram at its own birth, any other at its earliest-born superset's."""
 
     def __init__(self, gram):
         self.gram = gram
         self.universe = gram.universe
+        # a monotone gram covers a face from any superset's birth onward
+        self._by_birth = sorted((iv.birth, m) for m, iv in gram.lifespans.items())
 
     def value(self, mask: int) -> float:
         self.universe.check_face(mask)
-        levels = self.gram.levels
-        lo, hi = 0, len(levels) - 1
-        if not levels[hi][1].covers(mask):  # top level is {X}; always covers
-            raise RuntimeError("facegram does not top out at the full face")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if levels[mid][1].covers(mask):
-                hi = mid
-            else:
-                lo = mid + 1
-        return levels[lo][0]
+        own = self.gram.lifespans.get(mask)
+        if own is not None:
+            return own.birth
+        for t, face in self._by_birth:
+            if face & mask == mask:
+                return t
+        raise RuntimeError("facegram does not top out at the full face")
 
     def support_faces(self) -> tuple[int, ...]:
         return self.gram.all_faces()

@@ -201,7 +201,10 @@ def parse_gram_json(text: str) -> Gram:
             t = float(t)
         except OverflowError as e:
             raise ValueError(f"level {i}: {e.args[0]}") from None
-        fs = FaceSet(universe, [mask_of(names) for names in item["faces"]])
+        try:
+            fs = FaceSet(universe, [mask_of(names) for names in item["faces"]])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"level {i}: {e.args[0]}") from e
         levels.append((t, fs))
     g = Gram(universe, levels, kind)
     if log.isEnabledFor(logging.DEBUG):

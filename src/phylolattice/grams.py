@@ -141,8 +141,8 @@ class Gram:
 
 
 def gram_leq(a: Gram, b: Gram) -> bool:
-    """Pointwise refinement order: no face of ``a`` is born before ``b``
-    covers it (``b`` is monotone, so it covers the face from then on)."""
+    """Pointwise refinement order: no face of ``a`` is born before the
+    earliest birth of a superset in ``b``, the time ``b`` first covers it."""
     if a.universe != b.universe:
         raise ValueError("grams live over different universes")
     covering = FacegramFiltration(b)

@@ -261,11 +261,19 @@ def linf_labeled_distance(a: LabeledMergegram, b: LabeledMergegram) -> float:
 
 def facegram_interleaving(a: Gram, b: Gram) -> float:
     """Interleaving distance, computed on the associated filtrations."""
+    t0 = time.perf_counter()
     if a.universe != b.universe:
         raise ValueError("grams live over different universes")
-    return filtration_interleaving(
-        filtration_from_facegram(a), filtration_from_facegram(b)
-    )
+    d = filtration_interleaving(filtration_from_facegram(a), filtration_from_facegram(b))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=interleaving faces=%d+%d candidates=%d ms=%.3f",
+            len(a.lifespans),
+            len(b.lifespans),
+            len(a.lifespans.keys() | b.lifespans.keys()),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return d
 
 
 def _pair_universe(xs: TaxaSet, ys: TaxaSet) -> tuple[TaxaSet, list[tuple[int, int]]]:

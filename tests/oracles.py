@@ -62,6 +62,32 @@ def gram_leq_by_levels(a, b) -> bool:
     return True
 
 
+def cover_time_by_levels(g, mask: int) -> float:
+    """First critical value whose level covers ``mask``: a bisect over the
+    levels, since a monotone gram covers a face from then on."""
+    g.universe.check_face(mask)
+    levels = g.levels
+    lo, hi = 0, len(levels) - 1
+    if not levels[hi][1].covers(mask):  # top level is {X}; always covers
+        raise RuntimeError("facegram does not top out at the full face")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if levels[mid][1].covers(mask):
+            hi = mid
+        else:
+            lo = mid + 1
+    return levels[lo][0]
+
+
+def interleaving_by_levels(a, b) -> float:
+    """Facegram interleaving on the union of both grams' faces, each
+    covering time bisected over the levels."""
+    best = 0.0
+    for m in set(a.lifespans) | set(b.lifespans):
+        best = max(best, abs(cover_time_by_levels(a, m) - cover_time_by_levels(b, m)))
+    return best
+
+
 def minimax_closure(m: np.ndarray) -> np.ndarray:
     """Single-linkage cophenetic matrix: minimal over paths of the maximal
     edge, Floyd-Warshall style."""

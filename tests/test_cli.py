@@ -1,10 +1,8 @@
 import json
-import logging
 
 import pytest
 
 from phylolattice import (
-    LabeledMergegram,
     join_grams,
     labeled_mergegram,
     labeled_mergegram_json,
@@ -125,9 +123,9 @@ _BAD_GRAMS = [
     pytest.param({"t": True}, 'level 0: "t" must be a number', id="t-bool"),
     pytest.param({"t": "x"}, 'level 0: "t" must be a number', id="t-string"),
     pytest.param({"t": 10**400}, "level 0: int too large", id="t-overflow"),
-    pytest.param({"faces": [["z"]]}, "unknown taxon 'z'", id="taxon"),
-    pytest.param({"faces": [1]}, "'int' object is not iterable", id="face-not-a-list"),
-    pytest.param({"faces": 5}, "'int' object is not iterable", id="faces-not-a-list"),
+    pytest.param({"faces": [["z"]]}, "level 0: unknown taxon 'z'", id="taxon"),
+    pytest.param({"faces": [1]}, "level 0: 'int' object is not iterable", id="face-not-a-list"),
+    pytest.param({"faces": 5}, "level 0: 'int' object is not iterable", id="faces-not-a-list"),
 ]
 
 
@@ -212,38 +210,13 @@ class TestBuildCommands:
 class TestMergegramCommand:
     def test_fast_tree_join_matches_join_route(self, tree_file, tmp_path):
         fast = tmp_path / "fast.json"
-        assert run(
-            [
-                "mergegram",
-                "--in",
-                str(tree_file),
-                "--labeled",
-                "--fast-tree-join",
-                "-o",
-                str(fast),
-            ]
-        ) == 0
+        assert run(["mergegram", "--in", str(tree_file), "--labeled", "-o", str(fast)]) == 0
         parts = [
             treegram_from_ultranetwork(ultranetwork_from_newick(t))
             for t in parse_newick(tree_file.read_text())
         ]
         slow = labeled_mergegram(join_grams(parts, "facegram"))
         assert fast.read_text() == labeled_mergegram_json(slow)
-
-    def test_fast_tree_join_debug_check_fails_loudly(
-        self, tree_file, monkeypatch, caplog, capsys
-    ):
-        caplog.set_level(logging.DEBUG, logger="phylolattice")
-        wrong = lambda ultras: LabeledMergegram(ultras[0].universe, {})
-        monkeypatch.setattr("phylolattice.cli.join_mergegram_of_treegrams", wrong)
-        code = run(["mergegram", "--in", str(tree_file), "--fast-tree-join"])
-        assert code == 1
-        assert "error: fast tree join disagrees" in capsys.readouterr().err
-
-    def test_fast_tree_join_needs_newick(self, matrix_file, capsys):
-        code = run(["mergegram", "--in", str(matrix_file), "--fast-tree-join"])
-        assert code == 1
-        assert "needs Newick input" in capsys.readouterr().err
 
     def test_svg_output(self, tree_file, tmp_path):
         svg = tmp_path / "m.svg"
@@ -356,7 +329,7 @@ class TestScale:
         assert run(["treegram", "--newick", str(path), "-o", str(gram)]) == 0
         assert len(json.loads(gram.read_text())["levels"]) == levels
         mg = tmp_path / "mg.json"
-        cmd = ["mergegram", "--in", str(path), "--fast-tree-join", "--labeled"]
+        cmd = ["mergegram", "--in", str(path), "--labeled"]
         assert run(cmd + ["-o", str(mg)]) == 0
         # one tree joins to itself: every face of its 2n - 1 clades and leaves
         assert len(json.loads(mg.read_text())["points"]) == 2 * n - 1

@@ -1,21 +1,44 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
 from phylolattice import (
+    FaceSet,
     FacegramFiltration,
+    Gram,
     PhyloNetwork,
     Surjection,
     TableFiltration,
     TaxaSet,
+    Ultranetwork,
     VRFiltration,
+    all_faces,
     cliquegram_from_network,
+    facegram_interleaving,
     filtration_from_facegram,
     filtration_interleaving,
+    gram_leq,
+    join_grams,
+    maximal_masks,
     pullback_filtration,
+    treegram_from_ultranetwork,
 )
 
-from oracles import exhaustive_interleaving
-from util import gram_of, random_monotone_table, random_network, taxa
+from oracles import (
+    cover_time_by_levels,
+    exhaustive_interleaving,
+    gram_leq_by_levels,
+    interleaving_by_levels,
+)
+from util import (
+    gram_of,
+    random_monotone_table,
+    random_network,
+    random_ultrametric,
+    taxa,
+)
 
 
 def test_vr_values_and_matrix():
@@ -189,3 +212,96 @@ class TestInterleaving:
             for f in pulled:
                 g = rng.choice(others)
                 assert filtration_interleaving(f, g) == exhaustive_interleaving(f, g)
+
+
+def _grid_gram(ts, rng, zero):
+    """Refinement-monotone levels on the half-unit grid from -1: each step
+    adds one to three random faces and keeps the maximal ones, so taxa
+    are observed late; ``zero`` is the critical value 0 with its sign."""
+    n = len(ts)
+    faces: tuple[int, ...] = ()
+    levels = []
+    k = rng.randrange(3)
+    while faces != (ts.full_mask,):
+        adds = tuple(
+            sum(1 << i for i in rng.sample(range(n), min(rng.randint(1, n), rng.randint(1, n))))
+            for _ in range(rng.randint(1, 3))
+        )
+        grown = maximal_masks(faces + adds)
+        if grown != faces:
+            faces = grown
+            t = 0.5 * (k - 2)
+            levels.append((t if t else zero, FaceSet(ts, faces)))
+        k += rng.randint(1, 2)
+    return Gram(ts, levels)
+
+
+def _quarters(m):
+    # rounding is monotone, so it keeps ultrametrics ultrametric
+    return np.round(m * 4) / 4
+
+
+def _random_gram(ts, rng):
+    """A grid gram, a cliquegram of a network on the quarter grid, or a
+    facegram join of treegrams on it; late observation in half of each."""
+    kind = rng.randrange(3)
+    late = rng.random() < 0.5
+    if kind == 0:
+        return _grid_gram(ts, rng, rng.choice((0.0, -0.0)))
+    if kind == 1:
+        net = random_network(ts, rng, late=late)
+        return cliquegram_from_network(PhyloNetwork(ts, _quarters(net.matrix)))
+    trees = [
+        treegram_from_ultranetwork(
+            Ultranetwork(ts, _quarters(random_ultrametric(ts, rng, late=late).matrix))
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    return join_grams(trees, "facegram")
+
+
+class TestCoverTimesFromLifespans:
+    """``FacegramFiltration`` reads covering times off the lifespans; the
+    bisect over the levels in ``oracles`` is the reference."""
+
+    def test_every_face_matches_the_level_bisect(self):
+        rng = random.Random(1401)
+        negative_zeros = 0
+        for k in range(480):
+            ts = taxa(1 + k % 8)
+            g = _random_gram(ts, rng)
+            f = FacegramFiltration(g)
+            for m in all_faces(ts):
+                v = f.value(m)
+                assert v.hex() == cover_time_by_levels(g, m).hex()
+                negative_zeros += v == 0 and math.copysign(1.0, v) < 0
+        assert negative_zeros >= 100
+
+    def test_interleaving_and_order_match_the_level_route(self):
+        rng = random.Random(1402)
+        seen = dict(leq=0, not_leq=0, tied=0, both_zeros=0, late=0, neither=0)
+        for k in range(1200):
+            ts = taxa(1 + k % 8)
+            a, b = _random_gram(ts, rng), _random_gram(ts, rng)
+            if k % 3 == 0:
+                b = join_grams([a, b], "facegram")
+            d = facegram_interleaving(a, b)
+            assert d.hex() == interleaving_by_levels(a, b).hex()
+            for x, y in ((a, b), (b, a)):
+                leq = gram_leq(x, y)
+                assert leq == gram_leq_by_levels(x, y)
+                seen["leq" if leq else "not_leq"] += 1
+            births = [{iv.birth for iv in g.lifespans.values()} for g in (a, b)]
+            seen["tied"] += len(births[0] & births[1]) > 1
+            signs = {math.copysign(1.0, t) for bs in births for t in bs if t == 0}
+            seen["both_zeros"] += len(signs) == 2
+            # a taxon outside every first-level face is observed late
+            seen["late"] += not all(a.levels[0][1].covers(1 << i) for i in range(len(ts)))
+            fa, fb = FacegramFiltration(a), FacegramFiltration(b)
+            for m in rng.sample(range(1, ts.full_mask + 1), min(ts.full_mask, 4)):
+                if m in a.lifespans or m in b.lifespans:
+                    continue
+                seen["neither"] += 1
+                assert fa.value(m).hex() == cover_time_by_levels(a, m).hex()
+                assert fb.value(m).hex() == cover_time_by_levels(b, m).hex()
+        assert min(seen.values()) >= 100, seen

@@ -168,6 +168,10 @@ class TestGramJSON:
             ([{"t": "x", "faces": [["a", "b"]]}], "level 0: \"t\" must be a number, got 'x'"),
             ([{"t": None, "faces": [["a", "b"]]}], 'level 0: "t" must be a number, got None'),
             ([{"t": 10**400, "faces": [["a", "b"]]}], "level 0: int too large to convert to float"),
+            ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": [["a", "z"]]}],
+             "level 1: unknown taxon 'z'"),
+            ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": 5}],
+             "level 1: 'int' object is not iterable"),
         ],
     )
     def test_level_errors_are_positioned(self, levels, message):
@@ -197,6 +201,8 @@ class TestGramJSON:
         ],
     )
     def test_face_errors_keep_type_and_message(self, faces, error, message):
+        # the parser raises a positioned ValueError; the face error it
+        # converts stays attached as the cause, type and message intact
         doc = json.dumps(
             {
                 "format": "phylolattice/1",
@@ -206,10 +212,12 @@ class TestGramJSON:
                 "levels": [{"t": 0, "faces": faces}, {"t": 1, "faces": [["a", "b"]]}],
             }
         )
-        with pytest.raises(error) as err:
+        with pytest.raises(ValueError) as err:
             parse_gram_json(doc)
-        assert type(err.value) is error
-        assert str(err.value) == message
+        cause = err.value.__cause__
+        assert type(err.value) is ValueError and type(cause) is error
+        assert str(cause) == message
+        assert str(err.value) == f"level 0: {cause.args[0]}"
 
     def test_debug_lines(self, caplog, rng):
         g = cliquegram_from_network(random_network(taxa(4), rng, late=True))

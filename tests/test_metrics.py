@@ -26,7 +26,7 @@ from phylolattice import (
 )
 
 from oracles import bottleneck_by_scalar_search, exhaustive_bottleneck, exhaustive_gh
-from util import random_network, taxa
+from util import gram_of, random_network, taxa
 
 INF = math.inf
 
@@ -290,6 +290,34 @@ class TestDistanceChain:
         )
         with pytest.raises(ValueError, match="different universes"):
             facegram_interleaving(g1, cliquegram_from_network(random_network(taxa(3), rng)))
+
+
+class TestInterleavingLog:
+    def test_debug_line(self, caplog):
+        ts = taxa(3)
+        a = gram_of(ts, [(0.0, [["a"], ["b"], ["c"]]), (1.0, [["a", "b"], ["c"]]),
+                         (2.0, [["a", "b", "c"]])])
+        b = gram_of(ts, [(0.0, [["a"], ["b"], ["c"]]), (1.0, [["a"], ["b", "c"]]),
+                         (2.0, [["a", "b", "c"]])])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            assert facegram_interleaving(a, b) == 1.0
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.metrics"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=interleaving"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["faces", "candidates", "ms"]
+        # a, b, c and abc lie in both grams; ab only in a, bc only in b
+        assert (fields["faces"], fields["candidates"]) == ("5+5", "6")
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        ts = taxa(4)
+        g1 = cliquegram_from_network(random_network(ts, rng))
+        g2 = cliquegram_from_network(random_network(ts, rng, late=True))
+        with caplog.at_level(logging.INFO, logger="phylolattice.metrics"):
+            facegram_interleaving(g1, g2)
+        assert not [r for r in caplog.records if r.name == "phylolattice.metrics"]
 
 
 class TestSmallScaleOracles:

@@ -2,7 +2,9 @@
 lifespans.  ``Gram.level_at`` and ``LabeledMergegram.alive_at`` each
 rebuild a level, so a loop over critical values that calls them rebuilds
 a level per value; they stay public readers, and the slow reference paths
-in ``tests/oracles.py`` use them."""
+in ``tests/oracles.py`` use them.  Covering times and the metrics read no
+``.levels`` at all: the level bisect is the oracle
+``cover_time_by_levels``."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,36 @@ def test_library_calls_no_levelwise_reader():
 def test_the_scan_sees_the_oracles_calls():
     found = list(_levelwise_calls(ROOT / "tests" / "oracles.py"))
     assert {c.rsplit(" ", 1)[1] for c in found} == {".level_at(", ".alive_at("}
+
+
+def _levels_reads(name: str, tree: ast.AST):
+    """``file:line .levels`` for every read of a ``.levels`` attribute."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "levels"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            yield f"{name}:{node.lineno} .levels"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_covering_times_and_metrics_read_no_levels():
+    found = [
+        r
+        for name in ("filtrations.py", "metrics.py")
+        for r in _levels_reads(name, _parse(PACKAGE / name))
+    ]
+    assert not found, f"level reads: {found}"
+
+
+def test_the_scan_sees_the_level_bisect():
+    (bisect,) = [
+        node
+        for node in _parse(ROOT / "tests" / "oracles.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "cover_time_by_levels"
+    ]
+    assert list(_levels_reads("oracles.py", bisect))
