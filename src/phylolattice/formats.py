@@ -139,6 +139,38 @@ def _death_in(v) -> float:
     raise ValueError(f"bad death value {v!r}")
 
 
+# A birth and a multiplicity go through float() and int() first, so a
+# value those refuse keeps their error; text and bools they accept are
+# refused after.
+
+def _birth_in(v) -> float:
+    b = float(v)
+    if isinstance(v, (bool, str)) or not math.isfinite(b):
+        raise ValueError(f"bad birth value {v!r}")
+    return b
+
+
+def _mult_in(v) -> int:
+    k = int(v)
+    if type(v) is not int or k <= 0:
+        raise ValueError(f"bad multiplicity {v!r}")
+    return k
+
+
+def _names_in(v):
+    """A face as a document lists it: a list of taxon names."""
+    if isinstance(v, (str, dict)):
+        raise ValueError(f"a face must be a list of taxon names, got {v!r}")
+    return v
+
+
+def _universe_in(doc: dict) -> TaxaSet:
+    taxa = doc.get("taxa")
+    if not isinstance(taxa, list) or not all(isinstance(s, str) for s in taxa):
+        raise ValueError('"taxa" must be a list of strings')
+    return TaxaSet(taxa)
+
+
 def gram_json(g: Gram) -> str:
     t0 = time.perf_counter()
     faces = _FaceTexts(g.universe, " " * 8, lead=" " * 8)
@@ -174,14 +206,11 @@ def parse_gram_json(text: str) -> Gram:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown gram kind {kind!r}")
-    taxa = doc.get("taxa")
-    if not isinstance(taxa, list) or not all(isinstance(s, str) for s in taxa):
-        raise ValueError('"taxa" must be a list of strings')
-    universe = TaxaSet(taxa)
+    universe = _universe_in(doc)
     masks: dict[tuple, int] = {}  # a face's name list -> its mask, per document
 
     def mask_of(names: Iterable[str]) -> int:
-        key = tuple(names)
+        key = tuple(names if type(names) is list else _names_in(names))
         mask = masks.get(key)
         if mask is None:
             mask = masks[key] = universe.mask_of(key)
@@ -259,7 +288,7 @@ def parse_mergegram_json(text: str):
         raise ValueError('"points" must be a list')
     labeled = doc["type"] == "labeled-mergegram"
     if labeled:
-        universe = TaxaSet(doc.get("taxa", ()))
+        universe = _universe_in(doc)
     need = ("birth", "death", "label") if labeled else ("birth", "death")
     rows = []  # (birth, death, face mask or multiplicity)
     seen = set()  # face masks of a labeled document
@@ -267,8 +296,9 @@ def parse_mergegram_json(text: str):
         if not isinstance(p, dict) or not all(k in p for k in need):
             raise ValueError(f"point {i} must be an object with {', '.join(need)}")
         try:
-            rest = universe.mask_of(p["label"]) if labeled else int(p.get("mult", 1))
-            rows.append((float(p["birth"]), _death_in(p["death"]), rest))
+            mult = _mult_in(p.get("mult", 1))
+            rest = universe.mask_of(_names_in(p["label"])) if labeled else mult
+            rows.append((_birth_in(p["birth"]), _death_in(p["death"]), rest))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"point {i}: {e.args[0]}") from None
         if labeled:

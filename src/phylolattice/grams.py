@@ -21,6 +21,7 @@ import numpy as np
 from .faces import FaceSet, bron_kerbosch, is_subpartition, maximal_masks
 from .faces import _first_non_clique_set_level
 from .filtrations import (
+    _EXHAUSTIVE_LIMIT,
     FacegramFiltration,
     Filtration,
     PullbackFiltration,
@@ -79,8 +80,8 @@ class Gram:
             if prev_t is not None:
                 if t <= prev_t:
                     raise ValueError("critical values must be strictly increasing")
-                # a surviving face covers itself; only the dying need a cover
-                if not all(fs.covers(m) for m in dying):
+                # a survivor covering a dying face would break the previous antichain
+                if not all(any(m | b == b for b in born) for m in dying):
                     raise ValueError(f"levels are not refinement-monotone at t={t!r}")
                 if not dying and not born:
                     raise ValueError(f"consecutive levels at t={t!r} are identical")
@@ -352,7 +353,7 @@ def facegram_from_filtration(f: Filtration) -> Gram:
         return _facegram_of_births(f.universe, births)
     support = f.support_faces()
     if support is None:
-        if len(f.universe) > 16:
+        if len(f.universe) > _EXHAUSTIVE_LIMIT:
             raise ValueError("no compact support known; universe too large to enumerate")
         support = all_faces(f.universe)
     births = ((f.value(m), m) for m in {*support, f.universe.full_mask})

@@ -35,6 +35,8 @@ def _canonical_points(
             b, d = p
             mult = 1
         b, d = float(b), float(d)
+        if isinstance(mult, bool) or not isinstance(mult, (int, np.integer)):
+            raise ValueError(f"multiplicities must be integers, got {mult!r}")
         if mult <= 0:
             raise ValueError("multiplicities must be positive")
         if strict and not b < d:

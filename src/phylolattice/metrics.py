@@ -276,12 +276,6 @@ def facegram_interleaving(a: Gram, b: Gram) -> float:
     return d
 
 
-def _pair_universe(xs: TaxaSet, ys: TaxaSet) -> tuple[TaxaSet, list[tuple[int, int]]]:
-    pairs = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-    labels = [f"({xs.labels[i]!r},{ys.labels[j]!r})" for i, j in pairs]
-    return TaxaSet(labels), pairs
-
-
 def _guard(nx: int, ny: int) -> None:
     if nx * ny > 20:
         raise ValueError(f"brute force guarded to |X|*|Y| <= 20, got {nx * ny}")

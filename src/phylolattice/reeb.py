@@ -9,13 +9,19 @@ vertices.  The topmost slab is a single half-infinite edge.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
+from collections import Counter
 from itertools import accumulate
+from typing import Iterable
 
 from .faces import canonical_faces
 from .grams import Gram
 from .mergegram import Mergegram
 from .taxa import TaxaSet
+
+log = logging.getLogger(__name__)
 
 
 class ReebGraph:
@@ -96,23 +102,13 @@ class ReebGraph:
         return sum(len(es) for es in self.edge_sets[:-1])
 
     def component_count(self) -> int:
-        total = self.vertex_count
-        parent = list(range(total))
         first = list(accumulate(self.vertex_counts, initial=0))  # level -> first vertex id
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(self.criticals) - 1):
-            for m in self.edge_sets[i]:
-                a = find(first[i] + self.down[i][m])
-                b = find(first[i + 1] + self.up[i][m])
-                if a != b:
-                    parent[b] = a
-        return len({find(v) for v in range(total)})
+        edges = (
+            (first[i] + self.down[i][m], first[i + 1] + self.up[i][m])
+            for i in range(len(self.criticals) - 1)
+            for m in self.edge_sets[i]
+        )
+        return len(set(_roots(self.vertex_count, edges)))
 
     def cycle_rank(self) -> int:
         """First Betti number of the finite part (half-infinite edge excluded)."""
@@ -138,52 +134,70 @@ class ReebGraph:
         return Mergegram(points)
 
 
+def _roots(count: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find on nodes 0 to count-1: each node's root once every pair
+    is joined."""
+    parent = list(range(count))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+    return [find(i) for i in range(count)]
+
+
 def face_reeb_graph(g: Gram) -> ReebGraph:
     """Comparability-component Reeb graph of a gram.
 
     The vertex set between level i-1 and i is the set of connected
     components of the containment relation on the union of the two face
-    families (the family below the first level is empty).
+    families (the family below the first level is empty), numbered in the
+    canonical order of the union.  Both families are antichains, so a face
+    in both is comparable to no other face, and a face that dies at level i
+    can only lie in a face born there: only those pairs are compared.
     """
-    criticals = g.criticals
+    t0 = time.perf_counter()
     edge_sets = tuple(fs.faces for _, fs in g.levels)
-    comp_maps: list[dict[int, int]] = []
     vertex_counts: list[int] = []
-    prev: tuple[int, ...] = ()
-    for cur in edge_sets:
-        nodes = canonical_faces(set(prev) | set(cur))
+    down: list[dict[int, int]] = []
+    up: list[dict[int, int] | None] = []
+    prev: frozenset[int] = frozenset()
+    for i, faces in enumerate(edge_sets):
+        cur = frozenset(faces)
+        nodes = canonical_faces(prev | cur)
         index = {m: k for k, m in enumerate(nodes)}
-        parent = list(range(len(nodes)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        # levels are antichains, so containments only cross the two families
-        for p in prev:
-            for q in cur:
-                if p | q == q or q | p == p:
-                    a, b = find(index[p]), find(index[q])
-                    if a != b:
-                        parent[b] = a
-        roots: dict[int, int] = {}
-        comp: dict[int, int] = {}
-        for m in nodes:
-            r = find(index[m])
-            comp[m] = roots.setdefault(r, len(roots))
-        comp_maps.append(comp)
-        vertex_counts.append(len(roots))
+        born = cur - prev
+        roots = _roots(
+            len(nodes),
+            ((index[d], index[b]) for d in prev - cur for b in born if d | b == b),
+        )
+        ids: dict[int, int] = {}  # component root -> vertex number
+        comp = {m: ids.setdefault(r, len(ids)) for m, r in zip(nodes, roots)}
+        vertex_counts.append(len(ids))
+        if i:
+            up.append({m: comp[m] for m in edge_sets[i - 1]})
+        down.append({m: comp[m] for m in faces})
         prev = cur
-    n = len(criticals)
-    down = tuple(
-        {m: comp_maps[i][m] for m in edge_sets[i]} for i in range(n)
+    up.append(None)  # the top slab runs to infinity
+    r = ReebGraph(
+        g.universe, g.criticals, edge_sets, tuple(vertex_counts), tuple(down), tuple(up)
     )
-    up: tuple[dict[int, int] | None, ...] = tuple(
-        {m: comp_maps[i + 1][m] for m in edge_sets[i]} if i < n - 1 else None
-        for i in range(n)
-    )
-    return ReebGraph(
-        g.universe, criticals, edge_sets, tuple(vertex_counts), down, up
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        # every face is born once, and every face but the full one dies once
+        births = Counter(iv.birth for iv in g.lifespans.values())
+        deaths = Counter(iv.death for iv in g.lifespans.values())
+        log.debug(
+            "stage=reeb levels=%d faces=%d changed=%d pairs=%d ms=%.3f",
+            len(edge_sets),
+            sum(map(len, edge_sets)),
+            2 * len(g.lifespans) - 1,
+            sum(k * births[t] for t, k in deaths.items()),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return r

@@ -22,6 +22,7 @@ from phylolattice import (
     Interval,
     LabeledMergegram,
     PhyloNetwork,
+    ReebGraph,
     TaxaSet,
     all_faces,
     bits,
@@ -31,7 +32,7 @@ from phylolattice import (
     maximal_masks,
     treegram_from_ultranetwork,
 )
-from phylolattice.faces import bron_kerbosch, cover_graph
+from phylolattice.faces import bron_kerbosch, canonical_faces, cover_graph
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -617,3 +618,79 @@ def reeb_dot_by_names_of(r) -> str:
                 lines.append(f'  {a} -- top [label="{name}", style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reeb_by_pair_scan(g) -> ReebGraph:
+    """Face-Reeb graph by definition: at every level, union every
+    comparable (previous, current) face pair, and number the components
+    in the canonical order of the two families' union."""
+    edge_sets = tuple(fs.faces for _, fs in g.levels)
+    comp_maps: list[dict[int, int]] = []
+    vertex_counts: list[int] = []
+    prev: tuple[int, ...] = ()
+    for cur in edge_sets:
+        nodes = canonical_faces(set(prev) | set(cur))
+        index = {m: k for k, m in enumerate(nodes)}
+        parent = list(range(len(nodes)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for p in prev:
+            for q in cur:
+                if p | q == q or q | p == p:
+                    a, b = find(index[p]), find(index[q])
+                    if a != b:
+                        parent[b] = a
+        roots: dict[int, int] = {}
+        comp = {m: roots.setdefault(find(index[m]), len(roots)) for m in nodes}
+        comp_maps.append(comp)
+        vertex_counts.append(len(roots))
+        prev = cur
+    n = len(edge_sets)
+    down = tuple({m: comp_maps[i][m] for m in edge_sets[i]} for i in range(n))
+    up = tuple(
+        {m: comp_maps[i + 1][m] for m in edge_sets[i]} if i < n - 1 else None
+        for i in range(n)
+    )
+    return ReebGraph(g.universe, g.criticals, edge_sets, tuple(vertex_counts), down, up)
+
+
+def check_gram_by_covers(universe, levels, kind: str = "facegram") -> None:
+    """Gram validation with each dying face's cover searched in the whole
+    next level; raises what ``Gram`` raises, in the same order."""
+    if kind not in ("facegram", "cliquegram", "treegram"):
+        raise ValueError(f"unknown gram kind {kind!r}")
+    lv = tuple((float(t), fs) for t, fs in levels)
+    if not lv:
+        raise ValueError("a gram needs at least one level")
+    prev, seen, prev_t = set(), set(), None
+    for t, fs in lv:
+        if not isinstance(fs, FaceSet) or fs.universe != universe:
+            raise ValueError("levels must be face-sets over the gram universe")
+        if not np.isfinite(t):
+            raise ValueError("critical values must be finite")
+        cur = set(fs.faces)
+        if prev_t is not None:
+            if t <= prev_t:
+                raise ValueError("critical values must be strictly increasing")
+            if not all(fs.covers(m) for m in prev - cur):
+                raise ValueError(f"levels are not refinement-monotone at t={t!r}")
+            if prev == cur:
+                raise ValueError(f"consecutive levels at t={t!r} are identical")
+        if (cur - prev) & seen:
+            raise RuntimeError("face reappeared in the gram")
+        seen |= prev - cur
+        prev, prev_t = cur, t
+    if lv[-1][1].faces != (universe.full_mask,):
+        raise ValueError("the last level must be the single full face")
+    if kind == "treegram":
+        for t, fs in lv:
+            if not is_subpartition(fs):
+                raise ValueError(f"treegram level at t={t!r} is not a subpartition")
+    elif kind == "cliquegram":
+        t = first_non_clique_set_level(lv)
+        if t is not None:
+            raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")

@@ -94,6 +94,20 @@ _BAD_POINTS = [
         "point 1: int too large",
         id="overflow",
     ),
+    pytest.param('{"birth": "0.5", "death": 1, "label": ["a"]}',
+                 "point 1: bad birth value '0.5'", id="birth-string"),
+    pytest.param('{"birth": true, "death": 1, "label": ["a"]}',
+                 "point 1: bad birth value True", id="birth-bool"),
+    pytest.param('{"birth": -Infinity, "death": 1, "label": ["a"]}',
+                 "point 1: bad birth value -inf", id="birth-minus-infinity"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["a"], "mult": 2.7}',
+                 "point 1: bad multiplicity 2.7", id="mult-fraction"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["a"], "mult": true}',
+                 "point 1: bad multiplicity True", id="mult-bool"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["a"], "mult": "3"}',
+                 "point 1: bad multiplicity '3'", id="mult-string"),
+    pytest.param('{"birth": 0, "death": 1, "label": "ab"}',
+                 "point 1: a face must be a list of taxon names, got 'ab'", id="label-string"),
 ]
 
 
@@ -126,6 +140,8 @@ _BAD_GRAMS = [
     pytest.param({"faces": [["z"]]}, "level 0: unknown taxon 'z'", id="taxon"),
     pytest.param({"faces": [1]}, "level 0: 'int' object is not iterable", id="face-not-a-list"),
     pytest.param({"faces": 5}, "level 0: 'int' object is not iterable", id="faces-not-a-list"),
+    pytest.param({"faces": ["ab"]}, "level 0: a face must be a list of taxon names, got 'ab'",
+                 id="face-string"),
 ]
 
 

@@ -172,6 +172,14 @@ class TestGramJSON:
              "level 1: unknown taxon 'z'"),
             ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": 5}],
              "level 1: 'int' object is not iterable"),
+            # text is no list of names: "ab" is not the face {a, b}
+            ([{"t": 0, "faces": ["ab"]}],
+             "level 0: a face must be a list of taxon names, got 'ab'"),
+            ([{"t": 0, "faces": ["a", "b"]}, {"t": 1, "faces": [["a", "b"]]}],
+             "level 0: a face must be a list of taxon names, got 'a'"),
+            ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": [{"a": 1, "b": 2}]}],
+             "level 1: a face must be a list of taxon names, got {'a': 1, 'b': 2}"),
+            ([{"t": 0, "faces": "ab"}], "level 0: a face must be a list of taxon names, got 'a'"),
         ],
     )
     def test_level_errors_are_positioned(self, levels, message):
@@ -322,6 +330,27 @@ class TestMergegramJSON:
              "point 1: unknown taxon 'z'"),
             ("labeled-mergegram", '{"birth": 0, "death": 1, "label": 3}',
              "point 1: 'int' object is not iterable"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": "ab"}',
+             "point 1: a face must be a list of taxon names, got 'ab'"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": {"a": 1}}',
+             "point 1: a face must be a list of taxon names, got {'a': 1}"),
+            ("labeled-mergegram", '{"birth": "0.5", "death": 1, "label": ["a"]}',
+             "point 1: bad birth value '0.5'"),
+            ("mergegram", '{"birth": "0.5", "death": 1}', "point 1: bad birth value '0.5'"),
+            ("mergegram", '{"birth": "x", "death": 1}', "point 1: could not convert"),
+            ("mergegram", '{"birth": true, "death": 1}', "point 1: bad birth value True"),
+            ("mergegram", '{"birth": -Infinity, "death": 1}', "point 1: bad birth value -inf"),
+            ("mergegram", '{"birth": NaN, "death": 1}', "point 1: bad birth value nan"),
+            ("diagram", '{"birth": -Infinity, "death": 1}', "point 1: bad birth value -inf"),
+            ("mergegram", '{"birth": 0, "death": true}', "point 1: bad death value True"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": 2.7}', "point 1: bad multiplicity 2.7"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": 2.0}', "point 1: bad multiplicity 2.0"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": true}', "point 1: bad multiplicity True"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": "3"}', "point 1: bad multiplicity '3'"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": 0}', "point 1: bad multiplicity 0"),
+            ("mergegram", '{"birth": 0, "death": 1, "mult": null}', "point 1: int() argument"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": ["a"], "mult": 2.7}',
+             "point 1: bad multiplicity 2.7"),
         ],
     )
     def test_bad_point_names_its_index(self, kind, point, message):
@@ -332,6 +361,21 @@ class TestMergegramJSON:
         with pytest.raises(ValueError) as err:
             parse_mergegram_json(doc)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("taxa", ['"ab"', '[1]', '{"a": 1}', None])
+    def test_labeled_taxa_are_a_list_of_strings(self, taxa):
+        field = "" if taxa is None else f' "taxa": {taxa},'
+        doc = f'{{"format": "phylolattice/1", "type": "labeled-mergegram",{field} "points": []}}'
+        with pytest.raises(ValueError) as err:
+            parse_mergegram_json(doc)
+        assert str(err.value) == '"taxa" must be a list of strings'
+
+    def test_points_keep_their_numbers(self):
+        doc = (
+            '{"format": "phylolattice/1", "type": "mergegram", "points":'
+            ' [{"birth": -1, "death": 2.5, "mult": 3}, {"birth": 1e-300, "death": "inf"}]}'
+        )
+        assert parse_mergegram_json(doc) == Mergegram([(-1, 2.5, 3), (1e-300, INF)])
 
     def test_bad_death(self):
         doc = (

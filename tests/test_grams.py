@@ -36,6 +36,7 @@ from phylolattice import (
 )
 
 from oracles import (
+    check_gram_by_covers,
     clique_join_by_levels,
     clique_levels_by_full_enumeration,
     clique_levels_by_threshold_graphs,
@@ -220,6 +221,62 @@ def _monotone_levels(ts, rng):
             levels.append((t, FaceSet(ts, faces)))
         t += rng.choice((0.5, 1.0))
     return levels
+
+
+def _outcome(build):
+    """``"ok"``, or the type and message of what ``build()`` raised."""
+    try:
+        build()
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+    return "ok"
+
+
+def _broken_levels(ts, rng):
+    """Levels of a random gram, then up to two random breaks: a level
+    replaced by a random antichain, two face-sets swapped, a level
+    repeated, dropped or retimed, or a level over another universe."""
+    levels = list(_birth_part(ts, rng).levels)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        j = rng.randrange(len(levels))
+        t, fs = levels[j]
+        step = rng.randrange(6)
+        if step == 0:
+            masks = [rng.randint(1, ts.full_mask) for _ in range(rng.randint(0, 4))]
+            levels[j] = (t, FaceSet(ts, maximal_masks(masks)))
+        elif step == 1:
+            k = rng.randrange(len(levels))
+            levels[j], levels[k] = (t, levels[k][1]), (levels[k][0], fs)
+        elif step == 2:
+            levels.insert(j + 1, (t + rng.choice((0.0, 0.25)), fs))
+        elif step == 3 and len(levels) > 1:
+            del levels[j]
+        elif step == 4:
+            levels[j] = (rng.choice((t - 1.0, math.inf, math.nan)), fs)
+        elif step == 5 and rng.random() < 0.2:
+            levels[j] = (t, FaceSet(taxa(len(ts) + 1), ()))
+    return levels
+
+
+class TestRefinementCheck:
+    """``Gram`` looks for a dying face's cover among the born faces only;
+    the oracle searches the whole level."""
+
+    def test_matches_the_covers_loop(self):
+        rng = random.Random(1515)
+        outcomes: dict[str, int] = {}
+        for _ in range(10000):
+            ts = taxa(rng.randint(1, 6))
+            levels = _broken_levels(ts, rng)
+            kind = rng.choice(grams.KINDS)
+            got = _outcome(lambda: Gram(ts, levels, kind))
+            assert got == _outcome(lambda: check_gram_by_covers(ts, levels, kind))
+            key = "ok" if got == "ok" else got[1].split(" at ")[0].split(" t=")[0]
+            outcomes[key] = outcomes.get(key, 0) + 1
+        # accepted, and each of the eight errors a level sequence can raise
+        assert len(outcomes) == 9, outcomes
+        assert outcomes["ok"] >= 3000, outcomes
+        assert outcomes["levels are not refinement-monotone"] >= 1000, outcomes
 
 
 def _clique_message(t):

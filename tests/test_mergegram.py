@@ -25,10 +25,12 @@ from phylolattice import (
     labeled_mergegram,
     labeled_mergegram_of_filtration,
     mergegram,
+    mergegram_json,
     mergegram_of_filtration,
     Surjection,
     all_faces,
     filtration_from_facegram,
+    parse_mergegram_json,
     parse_newick,
     ph0_elder,
     pullback_filtration,
@@ -85,6 +87,20 @@ class TestIntervalMultisets:
     def test_positive_multiplicity(self):
         with pytest.raises(ValueError, match="positive"):
             Mergegram([(0, 1, 0)])
+
+    @pytest.mark.parametrize("mult", [0.5, 2.7, 2.0, True, "3", None])
+    def test_integer_multiplicity(self, mult):
+        # 0.5 used to be stored as a point of multiplicity int(0.5) == 0
+        for cls in (Mergegram, PersistenceDiagram):
+            with pytest.raises(ValueError) as err:
+                cls([(0, 1, mult)])
+            assert str(err.value) == f"multiplicities must be integers, got {mult!r}"
+
+    def test_numpy_integer_multiplicity(self):
+        mg = Mergegram([(0, 1, np.int64(2)), (0, 1, np.uint8(1))])
+        assert mg.points == ((0.0, 1.0, 3),) and type(mg.points[0][2]) is int
+        assert len(mg) == 3
+        assert parse_mergegram_json(mergegram_json(mg)) == mg
 
     def test_types_do_not_compare_equal(self):
         assert Mergegram([(0, 1)]) != PersistenceDiagram([(0, 1)])
