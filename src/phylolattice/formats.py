@@ -135,7 +135,9 @@ def _death_in(v) -> float:
     if v == "inf":
         return math.inf
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        d = float(v)
+        if d == d and d != -math.inf:
+            return d
     raise ValueError(f"bad death value {v!r}")
 
 
@@ -162,6 +164,17 @@ def _names_in(v):
     if isinstance(v, (str, dict)):
         raise ValueError(f"a face must be a list of taxon names, got {v!r}")
     return v
+
+
+def _mask_in(universe: TaxaSet, names: tuple) -> int:
+    """The mask of a face a document lists as ``names``; a face that
+    names a taxon twice is refused."""
+    mask = universe.mask_of(names)
+    if mask.bit_count() != len(names):
+        seen: set[str] = set()
+        twice = next(x for x in names if x in seen or seen.add(x))
+        raise ValueError(f"face {list(names)!r} names taxon {twice!r} twice")
+    return mask
 
 
 def _universe_in(doc: dict) -> TaxaSet:
@@ -213,7 +226,7 @@ def parse_gram_json(text: str) -> Gram:
         key = tuple(names if type(names) is list else _names_in(names))
         mask = masks.get(key)
         if mask is None:
-            mask = masks[key] = universe.mask_of(key)
+            mask = masks[key] = _mask_in(universe, key)
         return mask
 
     items = doc.get("levels", [])
@@ -297,7 +310,9 @@ def parse_mergegram_json(text: str):
             raise ValueError(f"point {i} must be an object with {', '.join(need)}")
         try:
             mult = _mult_in(p.get("mult", 1))
-            rest = universe.mask_of(_names_in(p["label"])) if labeled else mult
+            if labeled and mult != 1:
+                raise ValueError(f"a labeled point has multiplicity 1, got {mult!r}")
+            rest = _mask_in(universe, tuple(_names_in(p["label"]))) if labeled else mult
             rows.append((_birth_in(p["birth"]), _death_in(p["death"]), rest))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"point {i}: {e.args[0]}") from None

@@ -282,7 +282,7 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
 
 
 def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
-    """Sub-level partitions of an ultranetwork from its single-linkage pass.
+    """Sub-level partitions of an ultranetwork from its linkage and diagonal.
 
     A cluster is a run of the linkage order, and the run that starts at
     position k merges into its left neighbour at ``joins[k - 1]``.  The
@@ -293,7 +293,7 @@ def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
     """
     order, joins = u.linkage
     n = len(order)
-    diag = np.diag(u.matrix)
+    diag = u.diagonal
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     # at one value, observations (kind 0) go before merges (kind 1)

@@ -216,7 +216,7 @@ def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergeg
     """Labeled mergegram of the facegram join of treegrams, without the join.
 
     Every face of the join is a face of some treegram, hence a run of that
-    tree's single-linkage order; the candidates are all runs the merges
+    tree's linkage order; the candidates are all runs the merges
     create.  A face m is maximal in the join at t iff birth <= t < death,
     where the birth is the smallest diameter of m over the trees and the
     death the smallest over trees of ``min_{x not in m} max_{i in m} U(i, x)``
@@ -229,8 +229,8 @@ def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergeg
     the diagonal entry of a singleton).  If m leaves a gap in [lo, hi] a
     taxon inside it joins m at ``span``; otherwise the nearest outside
     taxa are at lo - 1 and hi + 1, which join at ``max(span, J[lo - 1])``
-    and ``max(span, J[hi])``.  All ranges are read from sparse tables, so
-    no matrix is read beyond its diagonal.
+    and ``max(span, J[hi])``.  All ranges are read from sparse tables over
+    the linkage, and singletons from ``diagonal``, so no matrix is read.
     """
     t0 = time.perf_counter()
     if not ultras:
@@ -243,7 +243,7 @@ def join_mergegram_of_treegrams(ultras: Sequence[PhyloNetwork]) -> LabeledMergeg
     n, trees = len(universe), len(ultras)
     rows = np.arange(trees)[:, None]
     orders = np.array([u.linkage[0] for u in ultras])  # (trees, n)
-    diags = np.array([np.diag(u.matrix) for u in ultras])
+    diags = np.array([u.diagonal for u in ultras])
     pos = np.empty_like(orders)  # pos[l, i]: position of taxon i in tree l
     pos[rows, orders] = np.arange(n)
     # gaps[l, k]: the join between positions k - 1 and k, inf past either end
@@ -318,7 +318,7 @@ def ph0_elder(u: PhyloNetwork) -> PersistenceDiagram:
     component never dies.
     """
     u = as_ultranetwork(u)
-    if np.diag(u.matrix).any():
+    if u.diagonal.any():
         raise ValueError("zero-dimensional persistence expects a zero diagonal")
     _, joins = u.linkage
     return PersistenceDiagram([(0.0, float(v)) for v in joins] + [(0.0, math.inf)])

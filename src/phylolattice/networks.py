@@ -8,12 +8,16 @@ float comparisons.
 
 from __future__ import annotations
 
+import logging
+import time
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .taxa import TaxaSet, bits
+
+log = logging.getLogger(__name__)
 
 
 class NetworkValidationError(ValueError):
@@ -85,16 +89,24 @@ class PhyloNetwork:
 class Ultranetwork(PhyloNetwork):
     """Network whose entries satisfy the strong triangle inequality.
 
-    ``linkage`` is the single-linkage pass that validated it, as returned
-    by ``_single_linkage``: the taxa in the order the pass took them and
-    the entry by which each one after the first joined.
+    An ultranetwork is its dendrogram.  ``linkage`` is (order, joins):
+    the taxa in an order in which every cluster is a run, and
+    ``joins[k]``, the entry between ``order[k]`` and ``order[k + 1]``.
+    ``diagonal`` holds the observation times.  The entry between
+    ``order[i]`` and ``order[j]``, i < j, is ``max(joins[i:j])``.
+
+    A network built from a matrix takes its linkage from the pass that
+    validated it (``_single_linkage``).  One built from the triple by
+    ``_from_linkage`` (a Newick tree's leaf preorder, adjacent join
+    heights and leaf heights) builds ``matrix`` on its first read.
     """
 
-    __slots__ = ("linkage",)
+    __slots__ = ("linkage", "diagonal")
 
     def __init__(self, universe: TaxaSet, matrix):
         super().__init__(universe, matrix)
         self.linkage = _single_linkage(self.matrix)
+        self.diagonal = np.diag(self.matrix)
         if not _is_subdominant(self.matrix, *self.linkage):
             bad = list(islice(_strong_triangle_violations(self.matrix), 10))
             if not bad:
@@ -105,6 +117,80 @@ class Ultranetwork(PhyloNetwork):
                 for x, y, z in bad
             ]
             raise NetworkValidationError(violations)
+
+    @classmethod
+    def _from_linkage(cls, universe: TaxaSet, order, joins, diagonal) -> "Ultranetwork":
+        """The ultranetwork of a dendrogram triple, checked in O(n).
+
+        The order must be a permutation of the taxa, every value finite,
+        and each diagonal entry at most the joins beside it.  Those are
+        exactly the conditions under which the matrix of range maxima is
+        a valid ultranetwork: it is symmetric, every entry bounds both
+        diagonal entries, and range maxima satisfy the strong triangle
+        inequality.
+        """
+        n = len(universe)
+        order = np.asarray(order, dtype=np.intp)
+        joins = np.asarray(joins, dtype=float)
+        diagonal = np.asarray(diagonal, dtype=float)
+        if order.shape != (n,) or joins.shape != (n - 1,) or diagonal.shape != (n,):
+            shapes = f"{order.shape}, {joins.shape}, {diagonal.shape}"
+            raise NetworkValidationError([f"linkage shapes {shapes} do not match {n} taxa"])
+        # n nonnegative integers, each counted once in n bins, are 0 .. n - 1
+        if order.min() < 0 or (np.bincount(order, minlength=n) != 1).any():
+            raise NetworkValidationError(["linkage order is not a permutation of the taxa"])
+        labels = universe.labels
+        violations = [
+            f"non-finite entry at ({labels[i]},{labels[i]})"
+            for i in np.flatnonzero(~np.isfinite(diagonal))
+        ] + [
+            f"non-finite entry at ({labels[order[k]]},{labels[order[k + 1]]})"
+            for k in np.flatnonzero(~np.isfinite(joins))
+        ]
+        if not violations:
+            d = diagonal[order]
+            for k in np.flatnonzero(np.maximum(d[:-1], d[1:]) > joins):
+                i, j = order[k], order[k + 1]
+                violations.append(
+                    f"diagonal exceeds entry at ({labels[i]},{labels[j]}): "
+                    f"max({float(diagonal[i])!r},{float(diagonal[j])!r}) > {float(joins[k])!r}"
+                )
+        if violations:
+            raise NetworkValidationError(violations)
+        for a in (order, joins, diagonal):
+            a.setflags(write=False)
+        u = cls.__new__(cls)
+        u.universe = universe
+        u.linkage = (order, joins)
+        u.diagonal = diagonal
+        return u
+
+    def __getattr__(self, name: str):
+        # Called only when a slot is unset: ``matrix`` of a network built
+        # by ``_from_linkage`` before its first read.
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        t0 = time.perf_counter()
+        m = _minimax_matrix(*self.linkage, self.diagonal)
+        m.setflags(write=False)
+        self.matrix = m
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("stage=matrix taxa=%d ms=%.3f", len(m), (time.perf_counter() - t0) * 1e3)
+        return m
+
+
+def _minimax_matrix(order: np.ndarray, joins: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The matrix of a dendrogram triple: the entry between ``order[i]``
+    and ``order[j]``, i < j, is ``max(joins[i:j])``."""
+    n = len(order)
+    p = np.empty((n, n))  # in linkage order
+    for i in range(n - 1):
+        np.maximum.accumulate(joins[i:], out=p[i, i + 1 :])
+        p[i + 1 :, i] = p[i, i + 1 :]
+    p[np.arange(n), np.arange(n)] = diagonal[order]
+    m = np.empty((n, n))
+    m[np.ix_(order, order)] = p
+    return m
 
 
 _BLOCK_ELEMENTS = 1 << 20  # elements compared per numpy call
@@ -118,7 +204,9 @@ def _single_linkage(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     joined.  Every single-linkage cluster is a run of ``order`` (Prim
     finishes a cluster before it pays the larger entry that leaves it), so
     the minimax path value between ``order[i]`` and ``order[j]``, i < j,
-    is ``max(joins[i:j])``.
+    is ``max(joins[i:j])``.  Readers of ``Ultranetwork.linkage`` rely only
+    on that: any order in which every cluster is a run will do, and Prim's
+    order from taxon 0 is only the one the matrix route produces.
     """
     n = len(m)
     order = np.zeros(n, dtype=np.intp)
@@ -176,6 +264,8 @@ def validate_network(labels: Iterable[str], rows) -> PhyloNetwork:
 
 def is_ultranetwork(net: PhyloNetwork) -> bool:
     """True when the network satisfies the strong triangle inequality."""
+    if isinstance(net, Ultranetwork):
+        return True
     return _is_subdominant(net.matrix, *_single_linkage(net.matrix))
 
 

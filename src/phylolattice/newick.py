@@ -13,14 +13,18 @@ diagonal instead.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .networks import Ultranetwork, as_ultranetwork, PhyloNetwork
 from .taxa import TaxaSet
+
+log = logging.getLogger(__name__)
 
 _STRUCTURE = set("():,;'")
 _TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
@@ -198,47 +202,43 @@ def parse_newick(text: str) -> list[NewickTree]:
 
 
 def ultranetwork_from_newick(tree: NewickTree, ultrametrize: bool = False) -> Ultranetwork:
-    """Coalescence-time matrix of a tree under the height convention above."""
+    """Ultranetwork of a tree under the height convention above, read as
+    its dendrogram in one walk: the leaves in preorder (every subtree is a
+    run of it), the height of each adjacent pair's lowest common ancestor,
+    and the leaf heights.  No matrix is built."""
+    t0 = time.perf_counter()
     universe = TaxaSet(sorted(tree.leaf_names))
     n = len(universe)
-    m = np.zeros((n, n))
-
-    # Leaves in preorder: every subtree is a run of this order, so the
-    # entries between a child and its later siblings form one rectangle.
-    leaves: list[int] = []
-    depth_of: dict[int, float] = {}
-    lca = np.zeros((n, n))  # LCA depths above the diagonal, in leaf preorder
-    # (node, depth, run starts of its parent's children); node None closes
-    # the children whose run starts were collected
-    stack: list[tuple[NewickNode | None, float, list[int] | None]]
-    stack = [(tree.root, 0.0, None)]
+    order: list[int] = []
+    depths: list[float] = []  # leaf depths, in preorder
+    lca_depths: list[float] = []  # lca_depths[k]: LCA of leaves k and k + 1
+    # After a leaf, the next node taken from the stack is a child of the
+    # leaf's lowest ancestor that has a later child: that ancestor is the
+    # LCA of the leaf and the next leaf.
+    after_leaf = False
+    stack: list[tuple[NewickNode, float, float]] = [(tree.root, 0.0, 0.0)]
     while stack:
-        node, depth, starts = stack.pop()
-        if node is None:
-            hi = len(leaves)
-            for a, b in zip(starts, starts[1:]):
-                # U at the LCA is filled later once H is known; remember the depth
-                lca[a:b, b:hi] = depth
+        node, depth, parent_depth = stack.pop()
+        if after_leaf:
+            lca_depths.append(parent_depth)
+            after_leaf = False
+        if not node.children:
+            order.append(universe.position(node.name))
+            depths.append(depth)
+            after_leaf = True
             continue
-        if starts is not None:
-            starts.append(len(leaves))
-        if node.is_leaf:
-            i = universe.position(node.name)
-            depth_of[i] = depth
-            leaves.append(i)
-            continue
-        children: list[int] = []
-        stack.append((None, depth, children))
         for ch in reversed(node.children):
-            stack.append((ch, depth + ch.length, children))
-    m[np.ix_(leaves, leaves)] = lca + lca.T
-    height = max(depth_of.values())
-    off = ~np.eye(n, dtype=bool)
-    m[off] = height - m[off]
+            stack.append((ch, depth + ch.length, depth))
+    height = max(depths)
+    joins = [height - d for d in lca_depths]
+    diagonal = [0.0] * n
     if not ultrametrize:
-        for i, d in depth_of.items():
-            m[i, i] = height - d
-    return Ultranetwork(universe, m)
+        for i, d in zip(order, depths):
+            diagonal[i] = height - d
+    u = Ultranetwork._from_linkage(universe, order, joins, diagonal)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("stage=newick taxa=%d ms=%.3f", n, (time.perf_counter() - t0) * 1e3)
+    return u
 
 
 def _quote_name(name: str) -> str:
@@ -261,7 +261,6 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
     the diagonal) round-trip exactly.
     """
     u = as_ultranetwork(u)
-    m = u.matrix
     labels = u.universe.labels
     order, joins = u.linkage
 
@@ -285,7 +284,7 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
             a, b = runs[0]
             continue
         i = order[a]
-        done = _quote_name(labels[i]), float(m[i, i])
+        done = _quote_name(labels[i]), float(u.diagonal[i])
         while stack:
             top, runs, parts = stack[-1]
             parts.append(done)

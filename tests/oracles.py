@@ -24,6 +24,7 @@ from phylolattice import (
     PhyloNetwork,
     ReebGraph,
     TaxaSet,
+    Ultranetwork,
     all_faces,
     bits,
     faceset_leq,
@@ -100,6 +101,50 @@ def minimax_closure(m: np.ndarray) -> np.ndarray:
             for j in range(n):
                 out[i, j] = min(out[i, j], max(out[i, k], out[k, j]))
     return out
+
+
+def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork:
+    """Coalescence-time matrix of a parsed Newick tree, filled one
+    rectangle of LCA depths per pair of sibling subtrees and validated by
+    the matrix route (Prim's pass and the subdominant check)."""
+    universe = TaxaSet(sorted(tree.leaf_names))
+    n = len(universe)
+    m = np.zeros((n, n))
+
+    # Leaves in preorder: every subtree is a run of this order, so the
+    # entries between a child and its later siblings form one rectangle.
+    leaves: list[int] = []
+    depth_of: dict[int, float] = {}
+    lca = np.zeros((n, n))  # LCA depths above the diagonal, in leaf preorder
+    # (node, depth, run starts of its parent's children); node None closes
+    # the children whose run starts were collected
+    stack = [(tree.root, 0.0, None)]
+    while stack:
+        node, depth, starts = stack.pop()
+        if node is None:
+            hi = len(leaves)
+            for a, b in zip(starts, starts[1:]):
+                lca[a:b, b:hi] = depth
+            continue
+        if starts is not None:
+            starts.append(len(leaves))
+        if node.is_leaf:
+            i = universe.position(node.name)
+            depth_of[i] = depth
+            leaves.append(i)
+            continue
+        children: list[int] = []
+        stack.append((None, depth, children))
+        for ch in reversed(node.children):
+            stack.append((ch, depth + ch.length, children))
+    m[np.ix_(leaves, leaves)] = lca + lca.T
+    height = max(depth_of.values())
+    off = ~np.eye(n, dtype=bool)
+    m[off] = height - m[off]
+    if not ultrametrize:
+        for i, d in depth_of.items():
+            m[i, i] = height - d
+    return Ultranetwork(universe, m)
 
 
 def newick_by_block_split(u) -> str:

@@ -108,6 +108,14 @@ _BAD_POINTS = [
                  "point 1: bad multiplicity '3'", id="mult-string"),
     pytest.param('{"birth": 0, "death": 1, "label": "ab"}',
                  "point 1: a face must be a list of taxon names, got 'ab'", id="label-string"),
+    pytest.param('{"birth": 0, "death": NaN, "label": ["a"]}',
+                 "point 1: bad death value nan", id="death-nan"),
+    pytest.param('{"birth": 0, "death": -Infinity, "label": ["a"]}',
+                 "point 1: bad death value -inf", id="death-minus-infinity"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["a"], "mult": 5}',
+                 "point 1: a labeled point has multiplicity 1, got 5", id="mult-not-one"),
+    pytest.param('{"birth": 0, "death": 1, "label": ["a", "a"]}',
+                 "point 1: face ['a', 'a'] names taxon 'a' twice", id="label-taxon-twice"),
 ]
 
 
@@ -142,6 +150,8 @@ _BAD_GRAMS = [
     pytest.param({"faces": 5}, "level 0: 'int' object is not iterable", id="faces-not-a-list"),
     pytest.param({"faces": ["ab"]}, "level 0: a face must be a list of taxon names, got 'ab'",
                  id="face-string"),
+    pytest.param({"faces": [["a", "a", "b"]]}, "level 0: face ['a', 'a', 'b'] names taxon 'a' twice",
+                 id="face-taxon-twice"),
 ]
 
 

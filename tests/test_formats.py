@@ -180,6 +180,9 @@ class TestGramJSON:
             ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": [{"a": 1, "b": 2}]}],
              "level 1: a face must be a list of taxon names, got {'a': 1, 'b': 2}"),
             ([{"t": 0, "faces": "ab"}], "level 0: a face must be a list of taxon names, got 'a'"),
+            # a name list is checked once, on the document's first use of it
+            ([{"t": 0, "faces": [["a"], ["b"]]}, {"t": 1, "faces": [["b", "a", "b"]]}],
+             "level 1: face ['b', 'a', 'b'] names taxon 'b' twice"),
         ],
     )
     def test_level_errors_are_positioned(self, levels, message):
@@ -351,6 +354,14 @@ class TestMergegramJSON:
             ("mergegram", '{"birth": 0, "death": 1, "mult": null}', "point 1: int() argument"),
             ("labeled-mergegram", '{"birth": 0, "death": 1, "label": ["a"], "mult": 2.7}',
              "point 1: bad multiplicity 2.7"),
+            ("mergegram", '{"birth": 0, "death": NaN}', "point 1: bad death value nan"),
+            ("diagram", '{"birth": 0, "death": -Infinity}', "point 1: bad death value -inf"),
+            ("labeled-mergegram", '{"birth": 0, "death": NaN, "label": ["a"]}',
+             "point 1: bad death value nan"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": ["a"], "mult": 5}',
+             "point 1: a labeled point has multiplicity 1, got 5"),
+            ("labeled-mergegram", '{"birth": 0, "death": 1, "label": ["a", "b", "a"]}',
+             "point 1: face ['a', 'b', 'a'] names taxon 'a' twice"),
         ],
     )
     def test_bad_point_names_its_index(self, kind, point, message):
@@ -361,6 +372,13 @@ class TestMergegramJSON:
         with pytest.raises(ValueError) as err:
             parse_mergegram_json(doc)
         assert str(err.value).startswith(message)
+
+    def test_labeled_point_may_state_multiplicity_one(self):
+        doc = (
+            '{"format": "phylolattice/1", "type": "labeled-mergegram", "taxa": ["a"],'
+            ' "points": [{"birth": 0, "death": "inf", "label": ["a"], "mult": 1}]}'
+        )
+        assert len(parse_mergegram_json(doc)) == 1
 
     @pytest.mark.parametrize("taxa", ['"ab"', '[1]', '{"a": 1}', None])
     def test_labeled_taxa_are_a_list_of_strings(self, taxa):
