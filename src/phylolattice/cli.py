@@ -143,7 +143,7 @@ def cmd_validate(args) -> int:
     elif suffix == ".json":
         doc = _parse_json(_read(path))
         if isinstance(doc, Gram):
-            print(f"OK: {doc.kind} with {len(doc.levels)} level(s)")
+            print(f"OK: {doc.kind} with {len(doc.criticals)} level(s)")
         else:
             print(f"OK: {type(doc).__name__} with {len(doc)} interval(s)")
     else:

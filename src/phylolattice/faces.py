@@ -17,9 +17,13 @@ from .taxa import TaxaSet, bits
 log = logging.getLogger(__name__)
 
 
+def _canonical_key(m: int) -> tuple[int, int]:
+    return -m.bit_count(), m
+
+
 def canonical_faces(masks: Iterable[int]) -> tuple[int, ...]:
     """Sort face masks canonically: decreasing cardinality, then mask value."""
-    return tuple(sorted(masks, key=lambda m: (-m.bit_count(), m)))
+    return tuple(sorted(masks, key=_canonical_key))
 
 
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -62,6 +66,15 @@ class FaceSet:
                         )
         self.universe = universe
         self.faces = ordered
+
+    @classmethod
+    def _proved(cls, universe: TaxaSet, ordered: tuple[int, ...]) -> "FaceSet":
+        """The face-set of ``ordered``, faces in canonical order that a
+        validating sweep has already proved an antichain over ``universe``."""
+        fs = object.__new__(cls)
+        fs.universe = universe
+        fs.faces = ordered
+        return fs
 
     @classmethod
     def from_names(cls, universe: TaxaSet, groups: Iterable[Iterable[str]]) -> "FaceSet":
@@ -245,16 +258,18 @@ def bron_kerbosch(adj: Sequence[int], p: int, x: int) -> list[int]:
 
 
 def _first_non_clique_set_level(
-    n: int, levels: Iterable[tuple[float, FaceSet]]
+    n: int, levels: Iterable[tuple[float, Iterable[int]]]
 ) -> float | None:
     """The first critical value whose level is not a clique-set, or None.
 
-    The levels, over ``n`` taxa, must be refinement-monotone; the level
-    below the first is empty.  A level's test is exact as long as every
-    earlier level passed.  Then the cover graph is the previous level's
-    plus the edges of the born faces, and a maximal clique that uses only
-    old edges lies in a face of the previous level, hence in a face of this
-    one, so it is that face.  A new edge (i, j) of a born face m (whichever
+    The levels, over ``n`` taxa, are (t, face masks) pairs and must be
+    refinement-monotone antichains; each level is copied when it is read,
+    so the caller may reuse one container.  The level below the first is
+    empty.  A level's test is exact as long as every earlier level
+    passed.  Then the cover graph is the previous level's plus the edges
+    of the born faces, and a maximal clique that uses only old edges lies
+    in a face of the previous level, hence in a face of this one, so it is
+    that face.  A new edge (i, j) of a born face m (whichever
     born face takes it first) lies in no maximal clique but m unless i and
     j share a neighbour outside m; one pivoted Bron-Kerbosch over the
     common neighbourhoods of the edges that do checks every clique they
@@ -267,14 +282,14 @@ def _first_non_clique_set_level(
     prev: Iterable[int] = ()  # faces of the previous level
     checked = regions = enumerated = 0
     failed = None
-    for t, fs in levels:
+    for t, level in levels:
         checked += 1
-        if _pairwise_disjoint(fs.faces):
-            adj, prev = None, fs.faces
+        faces = set(level)
+        if _pairwise_disjoint(faces):
+            adj, prev = None, faces
             continue
         if adj is None:
             vertices, adj = _cover_adjacency(n, prev)
-        faces = set(fs.faces)
         born, prev = faces.difference(prev), faces
         fresh = []  # (born face, vertex i, its new neighbours above i)
         for m in born:
@@ -374,7 +389,7 @@ def cliqueset_from_graph(g: Graph) -> CliqueSet:
 
 def is_pair_cover_closed(f: FaceSet) -> bool:
     """True when ``f`` is exactly the maximal-clique family of its cover graph."""
-    return _first_non_clique_set_level(len(f.universe), [(0.0, f)]) is None
+    return _first_non_clique_set_level(len(f.universe), [(0.0, f.faces)]) is None
 
 
 def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:
@@ -388,13 +403,85 @@ def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:
     return CliqueSet(universe, bron_kerbosch(adj, vertices, 0) if vertices else ())
 
 
-def _pairwise_disjoint(masks: Iterable[int]) -> bool:
+def _disjoint_union(masks: Iterable[int]) -> int | None:
+    """The union of ``masks`` when they are pairwise disjoint, else None."""
     seen = 0
     for m in masks:
         if m & seen:
-            return False
+            return None
         seen |= m
-    return True
+    return seen
+
+
+def _pairwise_disjoint(masks: Iterable[int]) -> bool:
+    return _disjoint_union(masks) is not None
+
+
+def _next_union(union: int, born: Iterable[int], dying: Iterable[int]) -> int | None:
+    """The union of the next level of a pairwise disjoint level whose union
+    is ``union``, or None when the next level is not pairwise disjoint.
+    The dying faces are disjoint, so their bits leave with them."""
+    for m in dying:
+        union ^= m
+    for m in born:
+        if m & union:
+            return None
+        union |= m
+    return union
+
+
+class _AntichainSweep:
+    """Proves the levels of a gram antichains one level at a time.
+
+    The previous level is an antichain by induction, so two faces of the
+    next level can only be comparable when one of them is born there.  The
+    level is an antichain iff it lists no face twice, its born faces are
+    non-empty masks over the universe, and no born face contains, or lies
+    in, another face of the level: born × level comparisons, not the
+    level's own pairs.  While the levels are pairwise disjoint, the union
+    of the previous level settles a level from its born and dying faces
+    alone.  A level the sweep cannot prove goes through ``FaceSet``, which
+    raises that level's own error, so the messages are ``FaceSet``'s.
+    """
+
+    __slots__ = ("universe", "prev", "union", "compared")
+
+    def __init__(self, universe: TaxaSet):
+        self.universe = universe
+        self.prev: set[int] = set()  # the previous level
+        self.union: int | None = 0  # its union while it is pairwise disjoint
+        self.compared = 0  # face pairs compared
+
+    def step(self, masks: Sequence[int]) -> tuple[set[int], set[int]]:
+        """The born and dying faces of the next level, listed by ``masks``;
+        raises the level's ``FaceSet`` error when it is no antichain."""
+        prev = self.prev
+        cur = set(masks)
+        born, dying = cur - prev, prev - cur
+        full = self.universe.full_mask
+        proved = len(cur) == len(masks) and all(
+            type(m) is int and 0 < m <= full for m in born
+        )
+        union = self.union
+        if proved:
+            union = _disjoint_union(cur) if union is None else _next_union(union, born, dying)
+            if union is None:
+                proved = self._incomparable(born, cur)
+        if not proved:
+            FaceSet(self.universe, masks)  # raises the level's own error
+            union = _disjoint_union(cur)
+        self.prev, self.union = cur, union
+        return born, dying
+
+    def _incomparable(self, born: Iterable[int], level: set[int]) -> bool:
+        """True when no born face contains, or lies in, another face."""
+        for b in born:
+            for f in level:
+                u = b | f
+                if (u == f or u == b) and f != b:
+                    return False
+            self.compared += len(level) - 1
+        return True
 
 
 def is_subpartition(f: FaceSet) -> bool:

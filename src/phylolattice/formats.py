@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .faces import FaceSet
+from .faces import _AntichainSweep
 from .grams import KINDS, Gram
 from .mergegram import Interval, LabeledMergegram, Mergegram, PersistenceDiagram
 from .networks import PhyloNetwork, validate_network
@@ -205,7 +205,7 @@ def gram_json(g: Gram) -> str:
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "stage=gram_json levels=%d faces=%d bytes=%d ms=%.3f",
-            len(g.levels),
+            len(g.criticals),
             len(g.lifespans),
             len(text),
             (time.perf_counter() - t0) * 1e3,
@@ -232,10 +232,15 @@ def parse_gram_json(text: str) -> Gram:
     items = doc.get("levels", [])
     if not isinstance(items, list):
         raise ValueError('"levels" must be a list')
-    levels = []
+    # each level is proved an antichain here, so that its errors carry
+    # its position; the gram's own checks run on the proved events
+    sweep = _AntichainSweep(universe)
+    events = []
+    entries = 0
+    prev_t = None
     for i, item in enumerate(items):
         if not isinstance(item, dict) or "t" not in item or "faces" not in item:
-            raise ValueError('each level needs "t" and "faces"')
+            raise ValueError(f'level {i}: each level needs "t" and "faces"')
         t = item["t"]
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             raise ValueError(f'level {i}: "t" must be a number, got {t!r}')
@@ -243,17 +248,26 @@ def parse_gram_json(text: str) -> Gram:
             t = float(t)
         except OverflowError as e:
             raise ValueError(f"level {i}: {e.args[0]}") from None
+        if not math.isfinite(t):
+            raise ValueError(f"level {i}: critical values must be finite")
+        if prev_t is not None and t <= prev_t:
+            raise ValueError(f"level {i}: critical values must be strictly increasing")
         try:
-            fs = FaceSet(universe, [mask_of(names) for names in item["faces"]])
+            level = [mask_of(names) for names in item["faces"]]
+            born, dying = sweep.step(level)
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"level {i}: {e.args[0]}") from e
-        levels.append((t, fs))
-    g = Gram(universe, levels, kind)
+        entries += len(level)
+        events.append((t, born, dying))
+        prev_t = t
+    g = Gram._of_events(universe, events, kind)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "stage=parse_gram_json levels=%d faces=%d bytes=%d ms=%.3f",
-            len(g.levels),
+            "stage=parse_gram_json levels=%d faces=%d entries=%d compared=%d bytes=%d ms=%.3f",
+            len(g.criticals),
             len(g.lifespans),
+            entries,
+            sweep.compared,
             len(text.encode()),
             (time.perf_counter() - t0) * 1e3,
         )

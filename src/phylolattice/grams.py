@@ -18,8 +18,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .faces import FaceSet, bron_kerbosch, is_subpartition, maximal_masks
-from .faces import _first_non_clique_set_level
+from .faces import (
+    FaceSet,
+    _AntichainSweep,
+    _canonical_key,
+    _first_non_clique_set_level,
+    _next_union,
+    bron_kerbosch,
+    maximal_masks,
+)
 from .filtrations import (
     _EXHAUSTIVE_LIMIT,
     FacegramFiltration,
@@ -46,15 +53,23 @@ class Interval(NamedTuple):
 class Gram:
     """Leveled antichains of faces with strictly increasing critical values.
 
+    The stored form is the universe, the kind, the critical values and
+    ``lifespans``, which maps each face ever maximal to its [birth, death).
     The ``kind`` flag is a classification that is re-checked on
     construction, never trusted: treegram levels must be subpartitions and
-    cliquegram levels must pass the clique-set condition.
-    ``lifespans`` maps each face ever maximal to its [birth, death).
-    Equality compares the universe and the lifespans, a complete
-    invariant, so neither the kind nor an explicit empty first level counts.
+    cliquegram levels must pass the clique-set condition.  Equality
+    compares the universe and the lifespans, a complete invariant, so
+    neither the kind nor an explicit empty first level counts.
+
+    ``Gram(universe, [(t, FaceSet)], kind)`` takes validated face-sets.
+    The library's builders hand their levels over as mask lists instead,
+    and one sweep proves each an antichain from the faces it changes
+    (``_of_masks``).  Either way ``levels``, the face-set at each critical
+    value, is a view: kept when the levels were given, otherwise built on
+    first read.
     """
 
-    __slots__ = ("universe", "levels", "kind", "criticals", "lifespans")
+    __slots__ = ("universe", "kind", "criticals", "lifespans", "_levels")
 
     def __init__(
         self,
@@ -62,23 +77,53 @@ class Gram:
         levels: Iterable[tuple[float, FaceSet]],
         kind: str = "facegram",
     ):
-        if kind not in KINDS:
-            raise ValueError(f"unknown gram kind {kind!r}")
-        lv = tuple((float(t), fs) for t, fs in levels)
-        if not lv:
-            raise ValueError("a gram needs at least one level")
+        lv = _leveled(kind, levels)
+        self._record(universe, kind, _faceset_events(universe, lv))
+        self._levels = lv
+
+    @classmethod
+    def _of_masks(
+        cls,
+        universe: TaxaSet,
+        levels: Iterable[tuple[float, Sequence[int]]],
+        kind: str = "facegram",
+    ) -> "Gram":
+        """The gram whose levels are the face-sets of the mask lists.
+
+        Every level is proved an antichain before any other check, so the
+        errors and their order are those of a ``FaceSet`` per level handed
+        to the constructor.
+        """
+        sweep = _AntichainSweep(universe)
+        return cls._of_events(
+            universe, [(t, *sweep.step(masks)) for t, masks in levels], kind
+        )
+
+    @classmethod
+    def _of_events(
+        cls,
+        universe: TaxaSet,
+        events: Iterable[tuple[float, Iterable[int], Iterable[int]]],
+        kind: str,
+    ) -> "Gram":
+        """The gram of (t, born, dying) per level, every level already
+        proved an antichain (``_AntichainSweep``)."""
+        g = object.__new__(cls)
+        g._record(universe, kind, _leveled(kind, events))
+        g._levels = None
+        return g
+
+    def _record(self, universe: TaxaSet, kind: str, events) -> None:
+        """Check the (t, born, dying) of each level and record the lifespans."""
         alive: dict[int, float] = {}  # faces of the previous level -> birth
         spans: dict[int, Interval] = {}
-        prev_t = None
-        for t, fs in lv:
-            if not isinstance(fs, FaceSet) or fs.universe != universe:
-                raise ValueError("levels must be face-sets over the gram universe")
-            if not np.isfinite(t):
+        criticals: list[float] = []
+        read = []  # the events, for the kind check
+        for t, born, dying in events:
+            if not math.isfinite(t):
                 raise ValueError("critical values must be finite")
-            dying = alive.keys() - fs.faces
-            born = [m for m in fs.faces if m not in alive]
-            if prev_t is not None:
-                if t <= prev_t:
+            if criticals:
+                if t <= criticals[-1]:
                     raise ValueError("critical values must be strictly increasing")
                 # a survivor covering a dying face would break the previous antichain
                 if not all(any(m | b == b for b in born) for m in dying):
@@ -92,24 +137,57 @@ class Gram:
                 if m in spans:
                     raise RuntimeError("face reappeared in the gram")
                 alive[m] = t
-            prev_t = t
-        top = lv[-1][1]
-        if top.faces != (universe.full_mask,):
+            criticals.append(t)
+            read.append((t, born, dying))
+        full = universe.full_mask
+        if len(alive) != 1 or full not in alive:
             raise ValueError("the last level must be the single full face")
-        if kind == "treegram":
-            for t, fs in lv:
-                if not is_subpartition(fs):
-                    raise ValueError(f"treegram level at t={t!r} is not a subpartition")
-        elif kind == "cliquegram":
-            t = _first_non_clique_set_level(len(universe), lv)
-            if t is not None:
-                raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
-        spans[universe.full_mask] = Interval(alive[universe.full_mask], math.inf)
+        _check_kind(kind, len(universe), read)
+        spans[full] = Interval(alive[full], math.inf)
         self.universe = universe
-        self.levels = lv
         self.kind = kind
-        self.criticals = tuple(t for t, _ in lv)
+        self.criticals = tuple(criticals)
         self.lifespans = spans
+
+    def _events(self) -> list[tuple[float, list[int], list[int]]]:
+        """(t, born, dying) at each critical value, read off the lifespans."""
+        index = {t: i for i, t in enumerate(self.criticals)}
+        events = [(t, [], []) for t in self.criticals]
+        for m, iv in self.lifespans.items():
+            events[index[iv.birth]][1].append(m)
+            if iv.death != math.inf:
+                events[index[iv.death]][2].append(m)
+        return events
+
+    @property
+    def levels(self) -> tuple[tuple[float, FaceSet], ...]:
+        """The face-set at each critical value.  Built on first read by one
+        sweep over the births and deaths, which keeps the faces alive in
+        canonical order; the levels were proved when the gram was built."""
+        if self._levels is None:
+            t0 = time.perf_counter()
+            keys: list[tuple[int, int]] = []  # canonical keys of the faces alive
+            faces: list[int] = []  # the faces alive, in the same order
+            levels = []
+            for t, born, dying in self._events():
+                for m in dying:
+                    i = bisect.bisect_left(keys, _canonical_key(m))
+                    del keys[i], faces[i]
+                for m in born:
+                    key = _canonical_key(m)
+                    i = bisect.bisect_left(keys, key)
+                    keys.insert(i, key)
+                    faces.insert(i, m)
+                levels.append((t, FaceSet._proved(self.universe, tuple(faces))))
+            self._levels = tuple(levels)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug(
+                    "stage=levels levels=%d faces=%d ms=%.3f",
+                    len(levels),
+                    len(self.lifespans),
+                    (time.perf_counter() - t0) * 1e3,
+                )
+        return self._levels
 
     def __eq__(self, other: object) -> bool:
         # kind is classification metadata, not identity
@@ -138,7 +216,68 @@ class Gram:
         return tuple(sorted(self.lifespans))
 
     def with_kind(self, kind: str) -> "Gram":
-        return Gram(self.universe, self.levels, kind)
+        if kind not in KINDS:
+            raise ValueError(f"unknown gram kind {kind!r}")
+        _check_kind(kind, len(self.universe), self._events())
+        g = object.__new__(Gram)
+        g.universe, g.kind, g.criticals = self.universe, kind, self.criticals
+        g.lifespans, g._levels = self.lifespans, self._levels
+        return g
+
+
+def _leveled(kind: str, levels: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The levels with float critical values, once the kind is known and
+    there is a level."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown gram kind {kind!r}")
+    lv = tuple((float(t), *rest) for t, *rest in levels)
+    if not lv:
+        raise ValueError("a gram needs at least one level")
+    return lv
+
+
+def _faceset_events(universe: TaxaSet, levels: Iterable[tuple[float, FaceSet]]):
+    """(t, born, dying) of face-set levels, each checked to be a face-set
+    over ``universe`` when it is reached."""
+    prev: frozenset[int] = frozenset()
+    for t, fs in levels:
+        if not isinstance(fs, FaceSet) or fs.universe != universe:
+            raise ValueError("levels must be face-sets over the gram universe")
+        cur = frozenset(fs.faces)
+        yield t, [m for m in fs.faces if m not in prev], prev - cur
+        prev = cur
+
+
+def _level_sets(events: Iterable[tuple[float, Iterable[int], Iterable[int]]]):
+    """(t, the level's faces) from (t, born, dying); one set, updated in place."""
+    alive: set[int] = set()
+    for t, born, dying in events:
+        alive.difference_update(dying)
+        alive.update(born)
+        yield t, alive
+
+
+def _first_non_subpartition(events) -> float | None:
+    """The first critical value whose level has two overlapping faces,
+    each level read from the union of the previous one."""
+    union = 0
+    for t, born, dying in events:
+        union = _next_union(union, born, dying)
+        if union is None:
+            return t
+    return None
+
+
+def _check_kind(kind: str, n: int, events) -> None:
+    """Refuse levels, given as (t, born, dying), that break the kind."""
+    if kind == "treegram":
+        t = _first_non_subpartition(events)
+        if t is not None:
+            raise ValueError(f"treegram level at t={t!r} is not a subpartition")
+    elif kind == "cliquegram":
+        t = _first_non_clique_set_level(n, _level_sets(events))
+        if t is not None:
+            raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
 
 
 def gram_leq(a: Gram, b: Gram) -> bool:
@@ -162,9 +301,10 @@ def _coalesce(values: np.ndarray, tol: float) -> list[float]:
 
 def _clique_levels(
     net: PhyloNetwork, merge_tol: float
-) -> tuple[list[tuple[float, FaceSet]], int]:
-    """Sweep the sub-level graphs of ``net``: one level per coalesced value,
-    and the number of cliques the region searches listed.
+) -> tuple[list[tuple[float, list[int]]], int]:
+    """Sweep the sub-level graphs of ``net``: the face masks of one level
+    per coalesced value, and the number of cliques the region searches
+    listed.
 
     One threshold graph grows through the upper triangle in sorted order,
     a value's entries being those from it up to the next value: a diagonal
@@ -194,7 +334,7 @@ def _clique_levels(
     adj = [0] * n
     vertices = 0
     cliques: set[int] = set()
-    levels: list[tuple[float, FaceSet]] = []
+    levels: list[tuple[float, list[int]]] = []
     enumerated = 0
     start = 0
     for eps, end in zip(values, ends):
@@ -220,7 +360,7 @@ def _clique_levels(
             enumerated += len(found)
             cliques = {c for c in cliques if c & ~region}
             cliques.update(found)
-        levels.append((eps, FaceSet(net.universe, cliques)))
+        levels.append((eps, list(cliques)))
     return levels, enumerated
 
 
@@ -234,12 +374,12 @@ def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
     """
     t0 = time.perf_counter()
     levels, enumerated = _clique_levels(net, merge_tol)
-    g = Gram(net.universe, levels, "cliquegram")
+    g = Gram._of_masks(net.universe, levels, "cliquegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "stage=cliquegram taxa=%d levels=%d faces=%d enumerated=%d ms=%.3f",
             len(net.universe),
-            len(g.levels),
+            len(g.criticals),
             len(g.lifespans),
             enumerated,
             (time.perf_counter() - t0) * 1e3,
@@ -281,8 +421,9 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
     return PhyloNetwork(g.universe, np.array(entries).reshape(n, n))
 
 
-def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
-    """Sub-level partitions of an ultranetwork from its linkage and diagonal.
+def _tree_levels(u: Ultranetwork) -> list[tuple[float, list[int]]]:
+    """Face masks of the sub-level partitions of an ultranetwork, from its
+    linkage and diagonal.
 
     A cluster is a run of the linkage order, and the run that starts at
     position k merges into its left neighbour at ``joins[k - 1]``.  The
@@ -305,7 +446,7 @@ def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
     start = list(range(n))  # last position of a run -> its start
     mask = [1 << int(i) for i in order]  # run start -> face mask
     visible: dict[int, int] = {}  # run start -> face, for the runs in the level
-    levels: list[tuple[float, FaceSet]] = []
+    levels: list[tuple[float, list[int]]] = []
     for e, (t, kind, k) in enumerate(events):
         if kind == 0:  # no merge has reached the taxon yet
             visible[k] = mask[k]
@@ -316,7 +457,7 @@ def _tree_levels(u: Ultranetwork) -> list[tuple[float, FaceSet]]:
             visible.pop(k, None)
             visible[a] = mask[a]
         if e + 1 == len(events) or events[e + 1][0] != t:
-            levels.append((t, FaceSet(u.universe, visible.values())))
+            levels.append((t, list(visible.values())))
     return levels
 
 
@@ -324,12 +465,12 @@ def treegram_from_ultranetwork(u: PhyloNetwork) -> Gram:
     """Sub-level partitions of an ultranetwork (levels are equivalence classes)."""
     t0 = time.perf_counter()
     u = as_ultranetwork(u)
-    g = Gram(u.universe, _tree_levels(u), "treegram")
+    g = Gram._of_masks(u.universe, _tree_levels(u), "treegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "stage=treegram taxa=%d levels=%d faces=%d ms=%.3f",
             len(u.universe),
-            len(g.levels),
+            len(g.criticals),
             len(g.lifespans),
             (time.perf_counter() - t0) * 1e3,
         )
@@ -345,7 +486,7 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     enumeration.
     """
     if isinstance(f, VRFiltration):
-        return Gram(f.universe, _clique_levels(f.network, 0.0)[0], "facegram")
+        return Gram._of_masks(f.universe, _clique_levels(f.network, 0.0)[0])
     if isinstance(f, PullbackFiltration):
         # preimages keep inclusion both ways, so they keep maximality
         base = facegram_from_filtration(f.base).lifespans.items()
@@ -371,15 +512,15 @@ def _facegram_of_births(
     a born face that it does not cover replaces exactly the faces it
     contains; a t whose faces are all covered already adds no level.
     """
-    levels: list[tuple[float, FaceSet]] = []
+    levels: list[tuple[float, list[int]]] = []
     faces: list[int] = []
     for t, group in groupby(sorted(set(births)), key=lambda e: e[0]):
         new = maximal_masks(m for _, m in group)
         new = [m for m in new if not any(m | f == f for f in faces)]
         if new:
             faces = [f for f in faces if not any(f | m == m for m in new)] + new
-            levels.append((t, FaceSet(universe, faces)))
-    return Gram(universe, levels, kind)
+            levels.append((t, faces))
+    return Gram._of_masks(universe, levels, kind)
 
 
 def filtration_from_facegram(g: Gram) -> FacegramFiltration:
@@ -408,7 +549,7 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
             raise ValueError("grams live over different universes")
     if mode == "cliquegram":
         for p in parts:
-            t = _first_non_clique_set_level(len(universe), p.levels)
+            t = _first_non_clique_set_level(len(universe), _level_sets(p._events()))
             if t is not None:
                 raise ValueError(f"cliquegram join requires clique-set levels (t={t!r})")
         g = cliquegram_from_network(
@@ -423,7 +564,7 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
             mode,
             len(parts),
             sum(len(p.lifespans) for p in parts),
-            len(g.levels),
+            len(g.criticals),
             len(g.lifespans),
             (time.perf_counter() - t0) * 1e3,
         )
@@ -444,4 +585,4 @@ def squash_to_cliquegram(g: Gram) -> Gram:
 
 def is_treegram(g: Gram) -> bool:
     """True when every level is a subpartition of the taxa."""
-    return all(is_subpartition(fs) for _, fs in g.levels)
+    return _first_non_subpartition(g._events()) is None

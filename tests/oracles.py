@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -739,3 +740,58 @@ def check_gram_by_covers(universe, levels, kind: str = "facegram") -> None:
         t = first_non_clique_set_level(lv)
         if t is not None:
             raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
+
+
+def gram_by_faceset_levels(universe, levels, kind: str = "facegram"):
+    """The gram constructor as it was before grams were stored by their
+    lifespans: a ``FaceSet``, with its full antichain scan, for every
+    level's masks, then one pass over the face-sets that validates them and
+    records each face's lifespan.  Raises what that constructor raised, in
+    the same order; returns the universe, kind, levels, criticals and
+    lifespans."""
+    lv = [(t, FaceSet(universe, masks)) for t, masks in levels]
+    if kind not in ("facegram", "cliquegram", "treegram"):
+        raise ValueError(f"unknown gram kind {kind!r}")
+    lv = tuple((float(t), fs) for t, fs in lv)
+    if not lv:
+        raise ValueError("a gram needs at least one level")
+    alive: dict[int, float] = {}
+    spans: dict[int, Interval] = {}
+    prev_t = None
+    for t, fs in lv:
+        if not np.isfinite(t):
+            raise ValueError("critical values must be finite")
+        dying = alive.keys() - fs.faces
+        born = [m for m in fs.faces if m not in alive]
+        if prev_t is not None:
+            if t <= prev_t:
+                raise ValueError("critical values must be strictly increasing")
+            if not all(any(m | b == b for b in born) for m in dying):
+                raise ValueError(f"levels are not refinement-monotone at t={t!r}")
+            if not dying and not born:
+                raise ValueError(f"consecutive levels at t={t!r} are identical")
+        for m in dying:
+            spans[m] = Interval(alive.pop(m), t)
+        for m in born:
+            if m in spans:
+                raise RuntimeError("face reappeared in the gram")
+            alive[m] = t
+        prev_t = t
+    if lv[-1][1].faces != (universe.full_mask,):
+        raise ValueError("the last level must be the single full face")
+    if kind == "treegram":
+        for t, fs in lv:
+            if not is_subpartition(fs):
+                raise ValueError(f"treegram level at t={t!r} is not a subpartition")
+    elif kind == "cliquegram":
+        t = first_non_clique_set_level(lv)
+        if t is not None:
+            raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
+    spans[universe.full_mask] = Interval(alive[universe.full_mask], math.inf)
+    return SimpleNamespace(
+        universe=universe,
+        kind=kind,
+        levels=lv,
+        criticals=tuple(t for t, _ in lv),
+        lifespans=spans,
+    )

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -152,6 +153,12 @@ _BAD_GRAMS = [
                  id="face-string"),
     pytest.param({"faces": [["a", "a", "b"]]}, "level 0: face ['a', 'a', 'b'] names taxon 'a' twice",
                  id="face-taxon-twice"),
+    pytest.param({"t": 1e400}, "level 0: critical values must be finite", id="t-infinite"),
+    pytest.param({"t": float("nan")}, "level 0: critical values must be finite", id="t-nan"),
+    pytest.param({"t": 1}, "level 1: critical values must be strictly increasing",
+                 id="t-not-increasing"),
+    pytest.param({"levels": [{"t": 0}]}, 'level 0: each level needs "t" and "faces"',
+                 id="level-without-faces"),
 ]
 
 
@@ -281,6 +288,24 @@ class TestDist:
         assert run(["ph0", "--matrix", str(matrix_file), "-o", str(mg)]) == 0
         assert run(["dist", "--metric", "linf", str(mg), str(mg)]) == 1
         assert "not a labeled mergegram document" in capsys.readouterr().err
+
+
+def test_interleaving_of_gram_files_builds_no_level_view(tree_file, tmp_path, caplog):
+    # the parser and the interleaving read lifespans only; the Reeb graph
+    # reads the levels, so it builds the view once
+    paths = [str(tmp_path / f"{mode}.json") for mode in ("facegram", "cliquegram")]
+    for mode, path in zip(("facegram", "cliquegram"), paths):
+        assert run(["join", "--trees", str(tree_file), "--mode", mode, "-o", path]) == 0
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="phylolattice"):
+        assert run(["dist", "--metric", "interleaving", *paths]) == 0
+        stages = [r.getMessage().split()[0] for r in caplog.records]
+        assert stages.count("stage=parse_gram_json") == 2
+        assert "stage=interleaving" in stages and "stage=levels" not in stages
+        caplog.clear()
+        assert run(["reeb", "--in", paths[0], "-o", str(tmp_path / "r.dot")]) == 0
+        stages = [r.getMessage().split()[0] for r in caplog.records]
+        assert stages.count("stage=levels") == 1
 
 
 class TestPipelines:

@@ -180,6 +180,13 @@ class TestGramJSON:
             ([{"t": 0, "faces": [["a"]]}, {"t": 1, "faces": [{"a": 1, "b": 2}]}],
              "level 1: a face must be a list of taxon names, got {'a': 1, 'b': 2}"),
             ([{"t": 0, "faces": "ab"}], "level 0: a face must be a list of taxon names, got 'a'"),
+            ([{"t": 0, "faces": [["a"]]}, {"t": math.inf, "faces": [["a", "b"]]}],
+             "level 1: critical values must be finite"),
+            ([{"t": math.nan, "faces": [["a", "b"]]}], "level 0: critical values must be finite"),
+            ([{"t": 1, "faces": [["a"]]}, {"t": 1, "faces": [["a", "b"]]}],
+             "level 1: critical values must be strictly increasing"),
+            ([{"t": 0, "faces": [["a"]]}, {"t": 1}], 'level 1: each level needs "t" and "faces"'),
+            ([{"t": 0, "faces": [["a"]]}, 7], 'level 1: each level needs "t" and "faces"'),
             # a name list is checked once, on the document's first use of it
             ([{"t": 0, "faces": [["a"], ["b"]]}, {"t": 1, "faces": [["b", "a", "b"]]}],
              "level 1: face ['b', 'a', 'b'] names taxon 'b' twice"),
@@ -237,15 +244,45 @@ class TestGramJSON:
             parse_gram_json(text)
         records = [r for r in caplog.records if r.name == "phylolattice.formats"]
         assert [r.levelno for r in records] == [logging.DEBUG] * 2
-        for record, stage in zip(records, ("stage=gram_json", "stage=parse_gram_json")):
+        names = {
+            "stage=gram_json": ["levels", "faces", "bytes", "ms"],
+            "stage=parse_gram_json": ["levels", "faces", "entries", "compared", "bytes", "ms"],
+        }
+        for record, stage in zip(records, names):
             first, *pairs = record.getMessage().split()
             assert first == stage
             fields = dict(p.split("=") for p in pairs)
-            assert list(fields) == ["levels", "faces", "bytes", "ms"]
-            assert int(fields["levels"]) == len(g.levels)
+            assert list(fields) == names[stage]
+            assert int(fields["levels"]) == len(g.criticals)
             assert int(fields["faces"]) == len(g.lifespans)
             assert int(fields["bytes"]) == len(text.encode())
             assert float(fields["ms"]) >= 0
+        # the parser reads every face entry of every level once
+        assert int(fields["entries"]) == sum(len(fs) for _, fs in g.levels)
+        assert int(fields["compared"]) >= 0
+
+    def test_compared_counts_born_against_level_pairs(self, caplog):
+        # levels 0 and 2 are disjoint, so nothing is compared there; level
+        # 1 has ab and bc born and overlapping: 2 born x 1 other face
+        doc = json.dumps(
+            {
+                "format": "phylolattice/1",
+                "type": "gram",
+                "kind": "facegram",
+                "taxa": ["a", "b", "c"],
+                "levels": [
+                    {"t": 0, "faces": [["a"], ["b"], ["c"]]},
+                    {"t": 1, "faces": [["a", "b"], ["b", "c"]]},
+                    {"t": 2, "faces": [["a", "b", "c"]]},
+                ],
+            }
+        )
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.formats"):
+            parse_gram_json(doc)
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.formats"]
+        fields = dict(p.split("=") for p in record.getMessage().split()[1:])
+        assert (fields["levels"], fields["faces"], fields["entries"]) == ("3", "6", "6")
+        assert fields["compared"] == "2"
 
     def test_no_log_line_above_debug(self, caplog, rng):
         g = cliquegram_from_network(random_network(taxa(4), rng))

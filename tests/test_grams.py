@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import random
@@ -31,6 +32,7 @@ from phylolattice import (
     gram_from_labeled_mergegram,
     gram_json,
     is_subpartition,
+    parse_gram_json,
     labeled_mergegram,
     maximal_masks,
 )
@@ -44,6 +46,8 @@ from oracles import (
     facegram_join_by_levels,
     first_non_clique_set_level,
     gram_by_alive_at,
+    gram_by_faceset_levels,
+    gram_json_by_dumps,
     gram_leq_by_levels,
     network_by_block_writes,
     squash_by_levels,
@@ -279,6 +283,193 @@ class TestRefinementCheck:
         assert outcomes["levels are not refinement-monotone"] >= 1000, outcomes
 
 
+def _mask_levels(ts, rng):
+    """Levels of a random gram as mask lists in random order, then up to
+    three faults: a face's strict subset or superset added beside it, a
+    face listed twice, an empty or out-of-range mask, a face dropped, two
+    levels swapped, a level repeated, a random antichain in place of a
+    level, the top dropped or given a second face, or a bad critical
+    value (NaN, infinite, not increasing)."""
+    n, full = len(ts), ts.full_mask
+    levels = []
+    for t, fs in _birth_part(ts, rng).levels:
+        masks = list(fs.faces)
+        rng.shuffle(masks)
+        levels.append((t, masks))
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 2, 2, 3))):
+        j = rng.randrange(len(levels))
+        t, masks = levels[j]
+        masks = list(masks)
+        step = rng.randrange(11)
+        if step == 0 and masks:
+            f = rng.choice(masks)
+            other = f & rng.randint(1, full) if rng.random() < 0.5 else f | rng.randint(1, full)
+            if other not in (0, f):
+                masks.insert(rng.randint(0, len(masks)), other)
+        elif step == 1 and masks:
+            masks.insert(rng.randint(0, len(masks)), rng.choice(masks))
+        elif step == 2:
+            bad = rng.choice((0, 0, -1, full + 1, 1 << n, full << 1))
+            masks.insert(rng.randint(0, len(masks)), bad)
+        elif step == 3 and masks:
+            del masks[rng.randrange(len(masks))]
+        elif step == 4:
+            k = rng.randrange(len(levels))
+            levels[k], masks = (levels[k][0], masks), list(levels[k][1])
+        elif step == 5:
+            levels.insert(j + 1, (t + rng.choice((0.0, 0.25)), list(masks)))
+        elif step == 6:
+            adds = [rng.randint(1, full) for _ in range(rng.randint(0, 4))]
+            masks = list(maximal_masks(adds))
+        elif step == 7:
+            if len(levels) > 1 and rng.random() < 0.5:
+                del levels[-1]
+                continue
+            j, (t, masks) = len(levels) - 1, levels[-1]
+            masks = list(masks) + [rng.randint(1, full)]
+        elif step == 8:
+            t = rng.choice((math.nan, math.inf, -math.inf))
+        elif step == 9 and j:
+            t = levels[j - 1][0] - rng.choice((0.0, 0.5))
+        levels[j] = (t, masks)
+    return levels
+
+
+def _parse_outcome(ts, levels, kind):
+    """What ``parse_gram_json`` should raise on the levels: each level's
+    critical value and face-set checks under its position, in level order,
+    and then whatever the constructor raised."""
+    prev = None
+    for i, (t, masks) in enumerate(levels):
+        if not math.isfinite(t):
+            return ValueError, f"level {i}: critical values must be finite"
+        if prev is not None and t <= prev:
+            return ValueError, f"level {i}: critical values must be strictly increasing"
+        try:
+            FaceSet(ts, masks)
+        except ValueError as e:
+            return ValueError, f"level {i}: {e}"
+        prev = t
+    return _outcome(lambda: gram_by_faceset_levels(ts, levels, kind))
+
+
+def _gram_document(ts, levels, kind):
+    def names(m):
+        return list(ts.names_of(m)) if m else []
+
+    return json.dumps(
+        {
+            "format": "phylolattice/1",
+            "type": "gram",
+            "kind": kind,
+            "taxa": list(ts.labels),
+            "levels": [{"t": t, "faces": [names(m) for m in masks]} for t, masks in levels],
+        }
+    )
+
+
+class TestPerEventAntichainCheck:
+    """The library's builders and the JSON parser hand ``Gram`` mask lists,
+    and each level is proved an antichain from the faces it changes; the
+    oracle builds a ``FaceSet`` per level, with its full scan, and
+    validates those as the constructor did."""
+
+    def test_matches_a_faceset_per_level(self):
+        rng = random.Random(1818)
+        outcomes: dict[str, int] = {}
+        parsed = 0
+        for _ in range(14000):
+            ts = taxa(rng.randint(1, 6))
+            levels = _mask_levels(ts, rng)
+            kind = rng.choice(grams.KINDS)
+            expect = _outcome(lambda: gram_by_faceset_levels(ts, levels, kind))
+            got = _outcome(lambda: Gram._of_masks(ts, levels, kind))
+            assert got == expect, levels
+            if expect == "ok":
+                ref = gram_by_faceset_levels(ts, levels, kind)
+                g = Gram._of_masks(ts, levels, kind)
+                assert g.criticals == ref.criticals
+                assert g.lifespans == ref.lifespans
+                assert g.levels == ref.levels
+                assert gram_json(g) == gram_json_by_dumps(ref)
+            if all(0 <= m <= ts.full_mask for _, masks in levels for m in masks):
+                doc = _gram_document(ts, levels, kind)
+                got = _outcome(lambda: parse_gram_json(doc))
+                assert got == _parse_outcome(ts, levels, kind), levels
+                if got == "ok":
+                    assert gram_json(parse_gram_json(doc)) == gram_json_by_dumps(ref)
+                parsed += 1
+            key = "ok" if expect == "ok" else expect[1]
+            outcomes[key] = outcomes.get(key, 0) + 1
+        assert outcomes.pop("ok") >= 1000
+        assert sum(outcomes.values()) >= 10000
+        # the face-set errors and each of the gram's own errors
+        for error in (
+            "duplicate face",
+            "not an antichain",
+            "face must be a non-empty bitmask",
+            "has bits outside the universe",
+            "critical values must be finite",
+            "critical values must be strictly increasing",
+            "levels are not refinement-monotone",
+            "consecutive levels",
+            "the last level must be the single full face",
+            "is not a subpartition",
+            "is not a clique-set",
+        ):
+            assert sum(k for key, k in outcomes.items() if error in key) >= 50, error
+        assert parsed >= 10000, parsed
+
+
+class TestLevelView:
+    """A gram built from masks keeps its lifespans; ``levels`` is built on
+    its first read."""
+
+    def test_debug_line_on_the_first_read(self, caplog):
+        ts = taxa(3)
+        g = treegram_from_ultranetwork(Ultranetwork(ts, [[0, 1, 3], [1, 0, 3], [3, 3, 0.5]]))
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            first = g.levels
+            assert g.levels is first
+            assert g.with_kind("facegram").levels is first
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.grams"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=levels"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["levels", "faces", "ms"]
+        # levels at 0, 0.5, 1, 3; faces a, b, c, ab, abc
+        assert (fields["levels"], fields["faces"]) == ("4", "5")
+        assert float(fields["ms"]) >= 0
+        assert first == (
+            (0.0, fs(ts, "a", "b")),
+            (0.5, fs(ts, "a", "b", "c")),
+            (1.0, fs(ts, "ab", "c")),
+            (3.0, fs(ts, "abc")),
+        )
+
+    def test_given_levels_are_the_view(self, caplog):
+        ts = taxa(2)
+        levels = [(0.0, fs(ts, "a", "b")), (1.0, fs(ts, "ab"))]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            g = Gram(ts, levels)
+            assert g.levels == tuple(levels)
+            assert repr(g) == "Gram[facegram](0.0: (('a',), ('b',)), 1.0: (('a', 'b'),))"
+        assert not [r for r in caplog.records if r.name == "phylolattice.grams"]
+
+    def test_builders_and_joins_build_no_view(self, caplog, rng):
+        ts = taxa(6)
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            parts = [treegram_from_ultranetwork(random_ultrametric(ts, rng)) for _ in range(3)]
+            parts.append(cliquegram_from_network(random_network(ts, rng, late=True)))
+            for mode in ("facegram", "cliquegram"):
+                g = join_grams(parts, mode)
+            assert all(is_treegram(p) for p in parts[:3])
+            g.with_kind("facegram")
+        stages = {r.getMessage().split()[0] for r in caplog.records}
+        assert "stage=levels" not in stages and "stage=join" in stages
+
+
 def _clique_message(t):
     return f"cliquegram level at t={t!r} is not a clique-set"
 
@@ -494,6 +685,8 @@ class TestCliquegramFromNetwork:
 
         monkeypatch.setattr(grams, "bron_kerbosch", searching)
         levels, enumerated = grams._clique_levels(net, 0.0)
+        # the sweep hands its levels over as mask lists
+        levels = [(t, FaceSet(ts, masks)) for t, masks in levels]
         assert levels == clique_levels_by_full_enumeration(net)
         a, b, c, d, e = (1 << i for i in range(5))
         assert calls == [
