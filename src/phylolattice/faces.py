@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .taxa import TaxaSet, bits
@@ -258,13 +259,12 @@ def bron_kerbosch(adj: Sequence[int], p: int, x: int) -> list[int]:
 
 
 def _first_non_clique_set_level(
-    n: int, levels: Iterable[tuple[float, Iterable[int]]]
+    n: int, events: Iterable[tuple[float, Iterable[int], Iterable[int]]]
 ) -> float | None:
     """The first critical value whose level is not a clique-set, or None.
 
-    The levels, over ``n`` taxa, are (t, face masks) pairs and must be
-    refinement-monotone antichains; each level is copied when it is read,
-    so the caller may reuse one container.  The level below the first is
+    The levels, over ``n`` taxa, are given as (t, born, dying) events and
+    must be refinement-monotone antichains.  The level below the first is
     empty.  A level's test is exact as long as every earlier level
     passed.  Then the cover graph is the previous level's plus the edges
     of the born faces, and a maximal clique that uses only old edges lies
@@ -279,18 +279,19 @@ def _first_non_clique_set_level(
     t0 = time.perf_counter()
     adj = None  # cover graph of the previous level
     vertices = 0  # its vertex mask
-    prev: Iterable[int] = ()  # faces of the previous level
+    faces: set[int] = set()  # the faces of the level
     checked = regions = enumerated = 0
     failed = None
-    for t, level in levels:
+    for t, born, dying in events:
         checked += 1
-        faces = set(level)
+        faces.difference_update(dying)
+        faces.update(born)
         if _pairwise_disjoint(faces):
-            adj, prev = None, faces
+            adj = None
             continue
         if adj is None:
-            vertices, adj = _cover_adjacency(n, prev)
-        born, prev = faces.difference(prev), faces
+            previous = chain(faces.difference(born), dying)
+            vertices, adj = _cover_adjacency(n, previous)
         fresh = []  # (born face, vertex i, its new neighbours above i)
         for m in born:
             vertices |= m
@@ -389,7 +390,7 @@ def cliqueset_from_graph(g: Graph) -> CliqueSet:
 
 def is_pair_cover_closed(f: FaceSet) -> bool:
     """True when ``f`` is exactly the maximal-clique family of its cover graph."""
-    return _first_non_clique_set_level(len(f.universe), [(0.0, f.faces)]) is None
+    return _first_non_clique_set_level(len(f.universe), [(0.0, f.faces, ())]) is None
 
 
 def cliqueset_join(parts: Sequence[FaceSet]) -> CliqueSet:

@@ -22,6 +22,7 @@ import numpy as np
 from .faces import _AntichainSweep
 from .grams import KINDS, Gram
 from .mergegram import Interval, LabeledMergegram, Mergegram, PersistenceDiagram
+from .metrics import MAX_TOTAL_MULTIPLICITY
 from .networks import PhyloNetwork, validate_network
 from .reeb import ReebGraph
 from .taxa import TaxaSet, bits
@@ -319,6 +320,7 @@ def parse_mergegram_json(text: str):
     need = ("birth", "death", "label") if labeled else ("birth", "death")
     rows = []  # (birth, death, face mask or multiplicity)
     seen = set()  # face masks of a labeled document
+    total = 0  # the multiplicities so far
     for i, p in enumerate(points):
         if not isinstance(p, dict) or not all(k in p for k in need):
             raise ValueError(f"point {i} must be an object with {', '.join(need)}")
@@ -326,6 +328,9 @@ def parse_mergegram_json(text: str):
             mult = _mult_in(p.get("mult", 1))
             if labeled and mult != 1:
                 raise ValueError(f"a labeled point has multiplicity 1, got {mult!r}")
+            total += mult
+            if total > MAX_TOTAL_MULTIPLICITY:
+                raise ValueError(f"multiplicities sum past {MAX_TOTAL_MULTIPLICITY}")
             rest = _mask_in(universe, tuple(_names_in(p["label"]))) if labeled else mult
             rows.append((_birth_in(p["birth"]), _death_in(p["death"]), rest))
         except (KeyError, TypeError, ValueError, OverflowError) as e:

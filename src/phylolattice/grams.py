@@ -248,15 +248,6 @@ def _faceset_events(universe: TaxaSet, levels: Iterable[tuple[float, FaceSet]]):
         prev = cur
 
 
-def _level_sets(events: Iterable[tuple[float, Iterable[int], Iterable[int]]]):
-    """(t, the level's faces) from (t, born, dying); one set, updated in place."""
-    alive: set[int] = set()
-    for t, born, dying in events:
-        alive.difference_update(dying)
-        alive.update(born)
-        yield t, alive
-
-
 def _first_non_subpartition(events) -> float | None:
     """The first critical value whose level has two overlapping faces,
     each level read from the union of the previous one."""
@@ -275,7 +266,7 @@ def _check_kind(kind: str, n: int, events) -> None:
         if t is not None:
             raise ValueError(f"treegram level at t={t!r} is not a subpartition")
     elif kind == "cliquegram":
-        t = _first_non_clique_set_level(n, _level_sets(events))
+        t = _first_non_clique_set_level(n, events)
         if t is not None:
             raise ValueError(f"cliquegram level at t={t!r} is not a clique-set")
 
@@ -549,7 +540,7 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
             raise ValueError("grams live over different universes")
     if mode == "cliquegram":
         for p in parts:
-            t = _first_non_clique_set_level(len(universe), _level_sets(p._events()))
+            t = _first_non_clique_set_level(len(universe), p._events())
             if t is not None:
                 raise ValueError(f"cliquegram join requires clique-set levels (t={t!r})")
         g = cliquegram_from_network(

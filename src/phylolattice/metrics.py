@@ -4,8 +4,9 @@ tiny-scale tripod / Gromov-Hausdorff oracles.
 The bottleneck distance is exact: the optimum is one of finitely many
 candidate values (half-persistences, and the pairwise sup-distances below
 the larger half-persistence of their pair).  A lower bound among them is
-probed first, then a binary search runs above it; each probe is a
-max-flow feasibility test on multiplicity-aggregated points.  The
+probed first, then a binary search runs above it; each probe grows a
+transport plan between the multiplicity-aggregated points by augmenting
+paths, starting from the plan of the last infeasible probe.  The
 brute-force oracles enumerate correspondences outright and are guarded to
 tiny inputs.
 """
@@ -15,11 +16,11 @@ from __future__ import annotations
 import logging
 import math
 import time
-from typing import NamedTuple, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .filtrations import (
     Filtration,
@@ -36,6 +37,10 @@ from .taxa import TaxaSet
 log = logging.getLogger(__name__)
 
 Point = tuple[float, float]
+
+# the most points a diagram may hold: the bottleneck plan counts the two
+# diagrams' totals together in int64
+MAX_TOTAL_MULTIPLICITY = (2**63 - 1) // 2
 
 
 def _point_dist(p: Point, q: Point) -> float:
@@ -82,6 +87,9 @@ class _Finite(NamedTuple):
 
 
 def _split(diagram) -> tuple[_Finite, list[tuple[float, int]]]:
+    total = sum(m for _, _, m in diagram.points)
+    if total > MAX_TOTAL_MULTIPLICITY:
+        raise ValueError(f"{total} points are past the {MAX_TOTAL_MULTIPLICITY} a diagram may hold")
     finite = [(b, d, m) for b, d, m in diagram.points if not math.isinf(d)]
     inf_births = [(b, m) for b, d, m in diagram.points if math.isinf(d)]
     births = np.array([b for b, _, _ in finite], dtype=np.float64)
@@ -98,56 +106,103 @@ def _sup_matrix(fa: _Finite, fb: _Finite) -> np.ndarray:
     )
 
 
-def _expand(weighted: Sequence[tuple[float, int]]) -> list[float]:
-    out: list[float] = []
-    for v, m in weighted:
-        out.extend([v] * m)
-    return out
-
-
-def _infinite_part_cost(a_births, b_births) -> float:
-    xs, ys = sorted(_expand(a_births)), sorted(_expand(b_births))
-    if len(xs) != len(ys):
-        return math.inf
-    return max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
-
-
-def _feasible(fa: _Finite, fb: _Finite, dist: np.ndarray, eps: float):
-    """Max flow of the eps-matching network of the finite parts.
-
-    Nodes: source, the distinct points of each side, one aggregated
-    diagonal node per side, sink.  Feasible iff the max flow saturates
-    both sides, i.e. equals |A| + |B|.  Returns the flow matrix on
-    success for witness extraction, None when infeasible.
-    """
-    na, nb = len(fa.mults), len(fb.mults)
-    tot_a, tot_b = int(fa.mults.sum()), int(fb.mults.sum())
-    S, A0 = 0, 1
-    DL = A0 + na  # diagonal that absorbs deletions of B
-    B0 = DL + 1
-    DR = B0 + nb  # diagonal that absorbs deletions of A
-    T = DR + 1
-    ia, ib = np.arange(na), np.arange(nb)
-    pa, pb = np.nonzero(dist <= eps)
-    drop_a = np.nonzero(fa.half <= eps)[0]
-    drop_b = np.nonzero(fb.half <= eps)[0]
-    arcs = (  # (tails, heads, capacities), scalars broadcast
-        (S, A0 + ia, fa.mults),
-        (A0 + drop_a, DR, fa.mults[drop_a]),
-        (A0 + pa, B0 + pb, np.minimum(fa.mults[pa], fb.mults[pb])),
-        ([S, DL], [DL, DR], tot_b),
-        (B0 + ib, T, fb.mults),
-        (DL, B0 + drop_b, fb.mults[drop_b]),
-        ([DR], [T], tot_a),
-    )
-    rows, cols, caps = map(
-        np.concatenate, zip(*(np.broadcast_arrays(*arc) for arc in arcs))
-    )
-    graph = csr_matrix((caps, (rows, cols)), shape=(T + 1, T + 1), dtype=np.int64)
-    result = maximum_flow(graph, S, T)
-    if result.flow_value != tot_a + tot_b:
+def _infinite_runs(a_births, b_births) -> list[tuple[float, float, int]] | None:
+    """Pair the infinite points' births in sorted order, as (x, y, count)
+    runs, or None when the two sides hold different numbers of them."""
+    xs, ys = sorted(a_births), sorted(b_births)
+    ends_x = list(accumulate(m for _, m in xs))
+    ends_y = list(accumulate(m for _, m in ys))
+    if ends_x[-1:] != ends_y[-1:]:
         return None
-    return result.flow
+    runs, start = [], 0
+    for end in sorted(set(ends_x) | set(ends_y)):
+        x, y = xs[bisect_right(ends_x, start)][0], ys[bisect_right(ends_y, start)][0]
+        runs.append((x, y, end - start))
+        start = end
+    return runs
+
+
+def _infinite_part_cost(runs) -> float:
+    if runs is None:
+        return math.inf
+    return max((abs(x - y) for x, y, _ in runs), default=0.0)
+
+
+def _augmenting_path(open_, plan, left, need) -> list[tuple[int, int, int]] | None:
+    """A shortest augmenting path, as (row, column in, column out) steps
+    from a column with demand left back to a row with supply left (column
+    out -1), or None when the plan moves all it can.  It runs breadth-first:
+    an open cell leads from a row to its column, a used cell from a column
+    back to its row."""
+    row_from, col_from = np.full(len(left), -1), np.full(len(need), -1)
+    seen_rows, seen_cols = left > 0, np.zeros(len(need), dtype=bool)
+    rows = np.flatnonzero(seen_rows)
+    while True:
+        reach = open_[rows] & ~seen_cols
+        cols = np.flatnonzero(reach.any(axis=0))
+        if not len(cols):
+            return None
+        col_from[cols] = rows[reach[:, cols].argmax(axis=0)]
+        seen_cols[cols] = True
+        sinks = cols[need[cols] > 0]
+        if len(sinks):
+            break
+        back = (plan[:, cols] > 0) & ~seen_rows[:, None]
+        rows = np.flatnonzero(back.any(axis=1))
+        row_from[rows] = cols[back[rows].argmax(axis=1)]
+        seen_rows[rows] = True
+    path, c = [], int(sinks[0])
+    while c >= 0:
+        r = int(col_from[c])
+        path.append((r, c, int(row_from[r])))
+        c = path[-1][2]
+    return path
+
+
+def _plan(fa: _Finite, fb: _Finite, dist: np.ndarray, eps: float, seed: np.ndarray):
+    """Transport plan of the eps-matching of the finite parts, grown from
+    ``seed`` (a plan over cells open at eps); returns (plan, augmenting
+    paths, whether it is complete).
+
+    Rows are A's distinct points and B's diagonal, columns B's distinct
+    points and A's diagonal.  A point supplies or demands its multiplicity,
+    a diagonal the other side's total.  A cell is open when its points are
+    within eps, when its point's half-persistence is (to a diagonal), or
+    when both ends are diagonals.  The plan is complete, and eps feasible,
+    iff it moves every supply.  A greedy pass fills it first, then
+    augmenting paths complete it or prove that no plan can.
+    """
+    na, nb = dist.shape
+    open_ = np.ones((na + 1, nb + 1), dtype=bool)
+    np.less_equal(dist, eps, out=open_[:na, :nb])
+    np.less_equal(fa.half, eps, out=open_[:na, nb])
+    np.less_equal(fb.half, eps, out=open_[na, :nb])
+    plan = seed.copy()
+    left = np.append(fa.mults, fb.mults.sum()) - plan.sum(axis=1)
+    need = np.append(fb.mults, fa.mults.sum()) - plan.sum(axis=0)
+    for i in np.flatnonzero(left).tolist():  # greedy: open cells in order
+        for j in np.flatnonzero(open_[i] & (need > 0)).tolist():
+            send = min(left[i], need[j])
+            plan[i, j] += send
+            left[i] -= send
+            need[j] -= send
+            if not left[i]:
+                break
+    augmentations = 0
+    while left.any():
+        path = _augmenting_path(open_, plan, left, need)
+        if path is None:
+            return plan, augmentations, False
+        source, sink = path[-1][0], path[0][1]
+        amount = min(left[source], need[sink], *(plan[r, c] for r, _, c in path[:-1]))
+        for r, c_in, _ in path:
+            plan[r, c_in] += amount
+        for r, _, c_out in path[:-1]:
+            plan[r, c_out] -= amount
+        left[source] -= amount
+        need[sink] -= amount
+        augmentations += 1
+    return plan, augmentations, True
 
 
 def bottleneck_distance(a, b) -> float:
@@ -158,7 +213,7 @@ def bottleneck_distance(a, b) -> float:
     t0 = time.perf_counter()
     fa, ia = _split(a)
     fb, ib = _split(b)
-    base = _infinite_part_cost(ia, ib)
+    base = _infinite_part_cost(_infinite_runs(ia, ib))
     if math.isinf(base):
         return math.inf
     dist = _sup_matrix(fa, fb)
@@ -173,12 +228,19 @@ def bottleneck_distance(a, b) -> float:
     lb = float(np.max([base, cheapest_a.max(initial=base), cheapest_b.max(initial=base)]))
     if not math.isfinite(lb):
         raise RuntimeError(f"no finite eps admits a matching (lower bound {lb!r})")
-    solves = 0
+    solves = augmentations = 0
+    # cells only open as eps grows, so an infeasible probe's plan is a
+    # valid start for every later probe, all of which lie above it
+    seed = np.zeros((len(fa.mults) + 1, len(fb.mults) + 1), dtype=np.int64)
 
     def feasible(i: int) -> bool:
-        nonlocal solves
+        nonlocal solves, augmentations, seed
         solves += 1
-        return _feasible(fa, fb, dist, ordered[i]) is not None
+        plan, paths, complete = _plan(fa, fb, dist, ordered[i], seed)
+        augmentations += paths
+        if not complete:
+            seed = plan
+        return complete
 
     lo, hi = int(np.searchsorted(ordered, lb)), len(ordered) - 1
     proven = lo if feasible(lo) else None
@@ -195,12 +257,13 @@ def bottleneck_distance(a, b) -> float:
     d = float(ordered[lo])
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "stage=bottleneck points=%d+%d candidates=%d lb=%r solves=%d ms=%.3f",
+            "stage=bottleneck points=%d+%d candidates=%d lb=%r solves=%d augmentations=%d ms=%.3f",
             len(fa.mults) + len(ia),
             len(fb.mults) + len(ib),
             len(ordered),
             lb,
             solves,
+            augmentations,
             (time.perf_counter() - t0) * 1e3,
         )
     return d
@@ -210,29 +273,25 @@ def bottleneck_matching(a, b, eps: float) -> Matching | None:
     """Explicit eps-matching witness, or None when eps is too small."""
     fa, ia = _split(a)
     fb, ib = _split(b)
-    base = _infinite_part_cost(ia, ib)
+    runs = _infinite_runs(ia, ib)
+    base = _infinite_part_cost(runs)
     if math.isinf(base) or base > eps:
         return None
-    flow = _feasible(fa, fb, _sup_matrix(fa, fb), eps)
-    if flow is None:
-        return None
     na, nb = len(fa.mults), len(fb.mults)
-    A0, DL = 1, 1 + na
-    B0, DR = 2 + na, 2 + na + nb
+    seed = np.zeros((na + 1, nb + 1), dtype=np.int64)
+    plan, _, complete = _plan(fa, fb, _sup_matrix(fa, fb), eps, seed)
+    if not complete:
+        return None
     points_a = list(zip(fa.births.tolist(), fa.deaths.tolist()))
     points_b = list(zip(fb.births.tolist(), fb.deaths.tolist()))
-    block = flow[A0:DL, B0:DR].tocoo()
     pairs: list[tuple[Point, Point]] = [
         (points_a[i], points_b[j])
-        for i, j, k in zip(block.row, block.col, block.data)
-        for _ in range(k)
+        for i, j in zip(*np.nonzero(plan[:na, :nb]))
+        for _ in range(plan[i, j])
     ]
-    dropped_a = flow[A0:DL, [DR]].toarray().ravel()
-    dropped_b = flow[[DL], B0:DR].toarray().ravel()
-    un_a = [p for p, k in zip(points_a, dropped_a) for _ in range(k)]
-    un_b = [q for q, k in zip(points_b, dropped_b) for _ in range(k)]
-    xs, ys = sorted(_expand(ia)), sorted(_expand(ib))
-    pairs.extend(((x, math.inf), (y, math.inf)) for x, y in zip(xs, ys))
+    un_a = [p for p, k in zip(points_a, plan[:na, nb].tolist()) for _ in range(k)]
+    un_b = [q for q, k in zip(points_b, plan[na, :nb].tolist()) for _ in range(k)]
+    pairs.extend(((x, math.inf), (y, math.inf)) for x, y, k in runs for _ in range(k))
     return Matching(tuple(pairs), tuple(un_a), tuple(un_b))
 
 

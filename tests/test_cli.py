@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 
 import pytest
 
@@ -138,6 +139,43 @@ def test_bad_mergegram_point_is_an_error_line(tmp_path, capsys, command, point, 
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and message in out.err
     assert "Traceback" not in out.err and not out.out
+
+
+
+def _mergegram_file(tmp_path, name, *points):
+    path = tmp_path / name
+    path.write_text(json.dumps({"format": "phylolattice/1", "type": "mergegram", "points": points}))
+    return str(path)
+
+
+@pytest.mark.parametrize("death", [1.5, "inf"])
+@pytest.mark.parametrize("command", ["validate", "dist"])
+def test_multiplicities_past_int64_plan_counts_are_an_error_line(tmp_path, capsys, command, death):
+    fine = {"birth": 0, "death": death, "mult": 1}
+    huge = _mergegram_file(tmp_path, "huge.json", fine, {"birth": 0.5, "death": death, "mult": 10**20})
+    other = _mergegram_file(tmp_path, "other.json", fine)
+    argv = ["validate", huge] if command == "validate" else ["dist", "--metric", "bottleneck", other, huge]
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: point 1: multiplicities sum past 4611686018427387903\n"
+    assert not out.out
+
+
+def test_multiplicities_are_summed_over_the_document(tmp_path, capsys):
+    half = {"birth": 0, "death": 1, "mult": 2**61}
+    assert run(["validate", _mergegram_file(tmp_path, "ok.json", half, half | {"mult": 2**61 - 1})]) == 0
+    assert capsys.readouterr().out == f"OK: Mergegram with {2**62 - 1} interval(s)\n"
+    assert run(["validate", _mergegram_file(tmp_path, "bad.json", half, half, half)]) == 1
+    assert capsys.readouterr().err.startswith("error: point 1: multiplicities sum past")
+
+
+def test_large_infinite_multiplicities_pair_without_listing_them(tmp_path, capsys):
+    a = _mergegram_file(tmp_path, "a.json", {"birth": 0, "death": "inf", "mult": 10**7})
+    b = _mergegram_file(tmp_path, "b.json", {"birth": 0.5, "death": "inf", "mult": 10**7})
+    t0 = time.perf_counter()
+    assert run(["dist", "--metric", "bottleneck", a, b]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().out == "0.5\n"
 
 
 _BAD_GRAMS = [

@@ -1,5 +1,7 @@
 import logging
 import math
+import random
+import time
 
 import pytest
 
@@ -25,7 +27,14 @@ from phylolattice import (
     vr_tripod_bruteforce,
 )
 
-from oracles import bottleneck_by_scalar_search, exhaustive_bottleneck, exhaustive_gh
+from oracles import (
+    _del_cost,
+    _scalar_feasible,
+    _sup,
+    bottleneck_by_scalar_search,
+    exhaustive_bottleneck,
+    exhaustive_gh,
+)
 from util import gram_of, random_network, taxa
 
 INF = math.inf
@@ -143,7 +152,38 @@ class TestLowerBoundProbe:
         assert fields["stage"] == "bottleneck"
         assert float(fields["lb"]) == d
         assert fields["solves"] == "1"
+        assert fields["augmentations"] == "0"
         assert fields["points"] == "1+1"
+        assert list(fields) == [
+            "stage", "points", "candidates", "lb", "solves", "augmentations", "ms"
+        ]
+
+    def test_greedy_conflict_takes_an_augmentation(self, caplog):
+        # the greedy pass sends (0, 10) to (0.5, 10.5), its first open
+        # cell, which is the only cell (0.5, 9.5) has at eps 1
+        a = Mergegram([(0, 10), (0.5, 9.5)])
+        b = Mergegram([(0.5, 10.5), (1, 11)])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            d = bottleneck_distance(a, b)
+        assert d == 1.0 == bottleneck_by_scalar_search(a, b)
+        fields = _debug_fields(caplog)
+        assert float(fields["lb"]) == d
+        assert fields["solves"] == "1"
+        assert fields["augmentations"] == "1"
+
+    def test_infeasible_probes_seed_the_next(self, caplog):
+        # the same greedy conflict at every probe from the lower bound 3 to
+        # below 7, while the second copy of (200, 210) must drop, at 5: a
+        # cold start would augment again at each probe, the warm start once
+        a = Mergegram([(0, 100), (0.5, 96), (200, 210, 2)])
+        b = Mergegram([(1, 99), (2, 103), (200, 210)])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.metrics"):
+            d = bottleneck_distance(a, b)
+        assert d == 5.0 == bottleneck_by_scalar_search(a, b)
+        fields = _debug_fields(caplog)
+        assert float(fields["lb"]) == 3.0 < d
+        assert int(fields["solves"]) > 1
+        assert fields["augmentations"] == "1"
 
     def test_loose_lower_bound_falls_back_to_the_search(self, caplog):
         # both copies of (0, 10) are at distance 0 from the single (0, 10),
@@ -189,6 +229,137 @@ class TestMatchingWitness:
     def test_infinite_mismatch_gives_none(self):
         assert bottleneck_matching(Mergegram([(0, INF)]), Mergegram(), 100.0) is None
         assert bottleneck_matching(Mergegram(), Mergegram([(0, INF)]), INF) is None
+
+
+def _grid_diagram(rng):
+    """Up to five points on a quarter grid, so that ties are common, with
+    multiplicities 1-3 and now and then an infinite point."""
+    pts = []
+    for _ in range(rng.randrange(6)):
+        b = rng.randrange(8) / 4
+        d = INF if rng.random() < 0.1 else b + rng.randrange(1, 9) / 4
+        pts.append((b, d, rng.randint(1, 3)))
+    return pts
+
+
+def _oracle_pair(rng):
+    a, b = _grid_diagram(rng), _grid_diagram(rng)
+    shape = rng.random()
+    if shape < 0.02:  # neither copy can be dropped
+        a.append((-1e308, 1e308, 2))
+    elif shape < 0.04:  # a point of infinite half-persistence
+        a.append((-INF, 1))
+    elif shape < 0.5:  # as many infinite points on both sides
+        a = [p for p in a if p[1] != INF]
+        b = [p for p in b if p[1] != INF]
+        for _ in range(rng.randrange(3)):
+            a.append((rng.randrange(8) / 4, INF, 1))
+            b.append((rng.randrange(8) / 4, INF, 1))
+    return Mergegram(a), Mergegram(b)
+
+
+def _oracle_feasible(a, b, eps: float) -> bool:
+    """An eps-matching exists: the infinite births pair in sorted order
+    within eps, and the max-flow oracle saturates the finite parts."""
+    xs = sorted(x for x, d, m in a.points if d == INF for _ in range(m))
+    ys = sorted(y for y, d, m in b.points if d == INF for _ in range(m))
+    if len(xs) != len(ys) or any(abs(x - y) > eps for x, y in zip(xs, ys)):
+        return False
+    fa = [((x, d), m) for x, d, m in a.points if d != INF]
+    fb = [((y, d), m) for y, d, m in b.points if d != INF]
+    return _scalar_feasible(fa, fb, eps)
+
+
+def _oracle_candidates(a, b) -> list[float]:
+    pa = [(x, d) for x, d, _ in a.points if d != INF]
+    pb = [(y, d) for y, d, _ in b.points if d != INF]
+    cands = {_del_cost(p) for p in pa + pb} | {_sup(p, q) for p in pa for q in pb}
+    return sorted(c for c in cands if math.isfinite(c))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAgainstMaxFlowOracle:
+    """The transport plan against scipy's max flow, which the oracles run
+    on the flow network of the same matching problem."""
+
+    PAIRS = 2400
+
+    def test_distance_and_witness(self):
+        rng = random.Random(20)
+        shapes = {"finite": 0, "infinite": 0, "raises": 0}
+        for _ in range(self.PAIRS):
+            a, b = _oracle_pair(rng)
+            try:
+                d = bottleneck_distance(a, b)
+            except RuntimeError:
+                d = None
+            try:
+                expect = bottleneck_by_scalar_search(a, b)
+            except RuntimeError:
+                expect = None
+            assert (d is None) == (expect is None), (a, b)
+            if d is None:
+                shapes["raises"] += 1
+                probes = [1e308]
+            elif d == INF:
+                shapes["infinite"] += 1
+                assert expect == INF, (a, b)
+                probes = _oracle_candidates(a, b)[-1:]
+            else:
+                shapes["finite"] += 1
+                assert d.hex() == expect.hex(), (a, b)
+                probes = [d] + [c for c in _oracle_candidates(a, b) if c < d][-1:]
+            for eps in probes:
+                m = bottleneck_matching(a, b, eps)
+                if _oracle_feasible(a, b, eps):
+                    assert m is not None, (a, b, eps)
+                    assert m.covers(a, b) and m.cost() <= eps, (a, b, eps)
+                else:
+                    assert m is None, (a, b, eps)
+        assert min(shapes.values()) >= 20, shapes
+
+
+class TestLargeMultiplicities:
+    def test_infinite_points_pair_by_runs(self):
+        a = Mergegram([(0, INF, 10**7), (3, INF, 2)])
+        b = Mergegram([(0.5, INF, 10**7 - 1), (1, INF, 3)])
+        t0 = time.perf_counter()
+        assert bottleneck_distance(a, b) == 2.0
+        assert bottleneck_distance(a, Mergegram([(0, INF, 10**7 + 1)])) == INF
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_finite_points_are_counted_not_listed(self):
+        # the (0, 2) pair with (0, 2.5) at 0.5 and the (0, 1) drop at 0.5;
+        # the spare (0, 2.5) drops at 1.25, less than its 1.5 to a (0, 1)
+        small = Mergegram([(0, 2, 3), (0, 1, 3)]), Mergegram([(0, 2.5, 4)])
+        assert bottleneck_by_scalar_search(*small) == 1.25
+        a = Mergegram([(0, 2, 10**7), (0, 1, 10**7)])
+        b = Mergegram([(0, 2.5, 10**7 + 1)])
+        t0 = time.perf_counter()
+        assert bottleneck_distance(a, b) == 1.25
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("death", [1.0, INF])
+    def test_totals_past_the_plan_counts_are_refused(self, death):
+        huge = Mergegram([(0, death, 2**62)])
+        for compare in (bottleneck_distance, lambda a, b: bottleneck_matching(a, b, 1.0)):
+            with pytest.raises(ValueError, match="past the 4611686018427387903 a diagram may hold"):
+                compare(huge, huge)
+        limit = Mergegram([(0, death, 2**62 - 1)])
+        assert bottleneck_distance(limit, limit) == 0.0
+
+    def test_witness_lists_every_infinite_pair(self):
+        a = Mergegram([(0, INF, 3), (2, INF)])
+        b = Mergegram([(1, INF), (2, INF, 3)])
+        m = bottleneck_matching(a, b, 2.0)
+        assert m is not None and m.covers(a, b) and m.cost() == 2.0
+        assert sorted(m.pairs) == [
+            ((0.0, INF), (1.0, INF)),
+            ((0.0, INF), (2.0, INF)),
+            ((0.0, INF), (2.0, INF)),
+            ((2.0, INF), (2.0, INF)),
+        ]
+        assert bottleneck_matching(a, b, 1.99) is None
 
 
 class TestLabeledDistance:
