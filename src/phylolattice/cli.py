@@ -59,7 +59,9 @@ def _setup_logging() -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise be
+    # read as part of the first name or token
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write(path: str | None, text: str) -> None:

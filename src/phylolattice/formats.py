@@ -49,11 +49,15 @@ def parse_matrix_csv(text: str) -> PhyloNetwork:
             raise ValueError(f"row {i + 2} has {len(row)} cells, expected {n}")
         for j, cell in enumerate(row):
             try:
-                body[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = None
+            # float() also reads '1_0' as 10.0
+            if value is None or "_" in cell:
                 raise ValueError(
                     f"non-numeric cell at row {i + 2}, column {j + 1}: {cell.strip()!r}"
-                ) from None
+                )
+            body[i, j] = value
     return validate_network(labels, body)
 
 

@@ -1,8 +1,9 @@
 """Newick tree parsing and the tree/ultranetwork conversions.
 
-One tree per line, ';'-terminated.  Unquoted names stop at structural
-characters; quoted names use single quotes with '' as the escape.
-Branch lengths default to 1.0 when absent.
+One tree per line, ';'-terminated; lines end at '\\n', '\\r\\n' or '\\r'.
+Unquoted names stop at structural characters, spaces and tabs; quoted
+names use single quotes with '' as the escape.  Branch lengths default
+to 1.0 when absent.
 
 Height convention: with H the maximal root-to-leaf distance, a node at
 depth d sits at height H - d.  Coalescence times are heights of lowest
@@ -17,7 +18,8 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,8 +29,12 @@ from .taxa import TaxaSet
 log = logging.getLogger(__name__)
 
 _STRUCTURE = set("():,;'")
-_TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
-_BLANKS = re.compile(r"[ \t]*")
+# A line's tokens: punctuation, a quoted name, an unquoted word (a name or
+# a branch length), or a quote that opens no complete quoted name.  Only
+# spaces and tabs fall between tokens.
+_TOKENS = re.compile(r"[(),:;]|'(?:[^']+|'')*+'|[^():,;' \t]+|'")
+# the punctuation tokens, and "", which the scan appends to end a line
+_PUNCTUATION = frozenset(("(", ")", ",", ":", ";", ""))
 
 
 class NewickError(ValueError):
@@ -49,188 +55,184 @@ class NewickNode:
         return not self.children
 
 
-@dataclass(frozen=True)
 class NewickTree:
-    root: NewickNode
-    leaf_names: tuple[str, ...] = field(init=False)
+    """A parsed tree as flat per-node arrays in preorder: ``parents[i]``
+    (-1 at the root), ``lengths[i]`` (the branch to the parent, 1.0 when
+    the text had none) and ``names[i]`` (None for an unnamed inner node).
+    ``leaves`` holds the leaf nodes in preorder and ``leaf_names`` their
+    names; ``root``, the tree as linked ``NewickNode``s, is a view built
+    on its first read."""
 
-    def __post_init__(self):
-        names: list[str] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                names.append(node.name)
-            stack.extend(reversed(node.children))
-        object.__setattr__(self, "leaf_names", tuple(names))
+    __slots__ = ("parents", "lengths", "names", "leaves", "leaf_names", "_root")
 
+    def __init__(self, parents, lengths, names, leaves, leaf_names):
+        self.parents = tuple(parents)
+        self.lengths = tuple(lengths)
+        self.names = tuple(names)
+        self.leaves = tuple(leaves)
+        self.leaf_names = tuple(leaf_names)
+        self._root = None
 
-class _Cursor:
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        self.i = 0
-        self.seen_leaves: dict[str, int] = {}
-
-    def fail(self, message: str, col: int | None = None) -> NewickError:
-        return NewickError(message, self.line, self.i + 1 if col is None else col)
-
-    def peek(self) -> str | None:
-        """The next character after any blanks, which it skips; None at
-        the end of the line."""
-        ch = self.text[self.i : self.i + 1]
-        if ch == " " or ch == "\t":
-            self.i = _BLANKS.match(self.text, self.i).end()
-            ch = self.text[self.i : self.i + 1]
-        return ch or None
-
-    def take(self) -> str:
-        ch = self.text[self.i]
-        self.i += 1
-        return ch
+    @property
+    def root(self) -> NewickNode:
+        if self._root is None:
+            # in reverse preorder every node comes after its descendants
+            # and its later siblings
+            children: list[list[NewickNode]] = [[] for _ in self.parents]
+            for i in range(len(self.parents) - 1, -1, -1):
+                node = NewickNode(self.names[i], self.lengths[i], tuple(reversed(children[i])))
+                if i:
+                    children[self.parents[i]].append(node)
+            self._root = node
+        return self._root
 
 
-def _read_name(c: _Cursor) -> str | None:
-    ch = c.peek()
-    if ch == "'":
-        start = c.i + 1
-        c.take()
-        parts: list[str] = []
-        while True:
-            if c.i >= len(c.text):
-                raise c.fail("unterminated quoted name", start)
-            ch = c.take()
-            if ch == "'":
-                if c.i < len(c.text) and c.text[c.i] == "'":
-                    c.take()
-                    parts.append("'")
-                else:
-                    break
-            else:
-                parts.append(ch)
-        name = "".join(parts)
-        if not name:
-            raise c.fail("empty quoted name", start)
-        return name
-    if ch is None or ch in _STRUCTURE:
-        return None
-    token = _TOKEN.match(c.text, c.i).group()
-    c.i += len(token)
-    return token
+def _error(message: str, line: str, lineno: int, k: int) -> NewickError:
+    """The error at the line's k-th token, or at its end when it has no
+    k-th token.  Columns are found only here, by the scan's own regex."""
+    m = next(islice(_TOKENS.finditer(line), k, None), None)
+    return NewickError(message, lineno, len(line) + 1 if m is None else m.start() + 1)
 
 
-def _read_length(c: _Cursor) -> float | None:
-    if c.peek() != ":":
-        return None
-    c.take()
-    c.peek()  # skips the blanks before the length
-    start = c.i
-    token = _TOKEN.match(c.text, start).group()
-    c.i += len(token)
-    try:
-        value = float(token)
-    except ValueError:
-        raise c.fail(f"malformed branch length {token!r}", start + 1) from None
-    if not math.isfinite(value) or value < 0:
-        raise c.fail(f"branch length must be finite and nonnegative, got {token}", start + 1)
-    return value
+def _innermost_open(toks: list[str], k: int) -> int:
+    """The token of the innermost '(' left open before token k."""
+    depth = 0
+    for i in range(k - 1, -1, -1):
+        if toks[i] == ")":
+            depth += 1
+        elif toks[i] == "(":
+            if not depth:
+                return i
+            depth -= 1
+    raise RuntimeError("no open parenthesis before the token")
 
 
-def _leaf(c: _Cursor) -> NewickNode:
-    name_col = c.i + 1
-    name = _read_name(c)
-    length = _read_length(c)
-    if name is None:
-        raise c.fail("leaf without a name", name_col)
-    if name in c.seen_leaves:
-        raise c.fail(f"duplicate leaf name {name!r}", name_col)
-    c.seen_leaves[name] = name_col
-    return NewickNode(name, 1.0 if length is None else length)
-
-
-def _subtree(c: _Cursor) -> NewickNode:
-    """One subtree, read with an explicit stack of the open parentheses
-    (column, children so far), so that nesting depth is not bounded by the
-    interpreter's recursion limit."""
-    stack: list[tuple[int, list[NewickNode]]] = []
+def _scan(line: str, lineno: int) -> NewickTree:
+    """One tree from one line: a single pass over its tokens that fills
+    the per-node arrays in preorder.  The open nodes are followed through
+    ``parents``, so nesting depth is not bounded by the interpreter's
+    recursion limit."""
+    toks = _TOKENS.findall(line)
+    toks.append("")
+    parents: list[int] = []
+    lengths: list[float] = []
+    names: list[str | None] = []
+    leaves: dict[str, int] = {}  # leaf name -> node, in preorder
+    up = -1  # the innermost open node
+    k = 0
     while True:
-        while c.peek() == "(":
-            stack.append((c.i + 1, []))
-            c.take()
-        node = _leaf(c)
-        while stack:
-            open_col, children = stack[-1]
-            children.append(node)
-            ch = c.peek()
-            if ch == ",":
-                c.take()
+        while toks[k] == "(":
+            parents.append(up)
+            up = len(names)
+            names.append(None)
+            lengths.append(1.0)
+            k += 1
+        node = len(names)
+        parents.append(up)
+        names.append(None)
+        lengths.append(1.0)
+        leaf = True
+        while True:
+            at = k  # the node's name, or where it would be
+            tok = toks[k]
+            if tok not in _PUNCTUATION:
+                if tok[0] == "'":
+                    if len(tok) == 1:
+                        raise _error("unterminated quoted name", line, lineno, k)
+                    tok = tok[1:-1].replace("''", "'")
+                    if not tok:
+                        raise _error("empty quoted name", line, lineno, k)
+                names[node] = tok
+                k += 1
+            if toks[k] == ":":
+                k += 1
+                tok = toks[k]
+                if tok in _PUNCTUATION or tok[0] == "'":
+                    tok = ""  # a length is a word
+                try:
+                    value = float(tok)
+                except ValueError:
+                    value = None
+                # float() also reads '1_0' as 10.0
+                if value is None or "_" in tok:
+                    raise _error(f"malformed branch length {tok!r}", line, lineno, k)
+                if not 0.0 <= value < math.inf:
+                    raise _error(
+                        f"branch length must be finite and nonnegative, got {tok}", line, lineno, k
+                    )
+                lengths[node] = value
+                k += 1
+            if leaf:
+                name = names[node]
+                if name is None:
+                    raise _error("leaf without a name", line, lineno, at)
+                if name in leaves:
+                    raise _error(f"duplicate leaf name {name!r}", line, lineno, at)
+                leaves[name] = node
+            if up < 0:
                 break
-            if ch != ")":
-                raise c.fail(
-                    "unbalanced parentheses: '(' never closed"
-                    + (" (end of input)" if ch is None else ""),
-                    open_col if ch is None else None,
-                )
-            c.take()
-            stack.pop()
-            name = _read_name(c)
-            length = _read_length(c)
-            node = NewickNode(name, 1.0 if length is None else length, tuple(children))
-        else:
-            return node
-
-
-def _parse_line(text: str, line: int) -> NewickTree:
-    c = _Cursor(text, line)
-    root = _subtree(c)
-    ch = c.peek()
-    if ch != ";":
-        raise c.fail("expected ';'" + (" (end of input)" if ch is None else ""))
-    c.take()
-    if c.peek() is not None:
-        raise c.fail("trailing characters after ';'")
-    return NewickTree(root)
+            tok = toks[k]
+            if tok == ",":
+                break
+            if tok != ")":
+                message = "unbalanced parentheses: '(' never closed"
+                if not tok:
+                    raise _error(message + " (end of input)", line, lineno, _innermost_open(toks, k))
+                raise _error(message, line, lineno, k)
+            k += 1
+            node = up
+            up = parents[node]
+            leaf = False
+        if up < 0:
+            break
+        k += 1
+    tok = toks[k]
+    if tok != ";":
+        raise _error("expected ';'" + ("" if tok else " (end of input)"), line, lineno, k)
+    if toks[k + 1]:
+        raise _error("trailing characters after ';'", line, lineno, k + 1)
+    return NewickTree(parents, lengths, names, leaves.values(), leaves)
 
 
 def parse_newick(text: str) -> list[NewickTree]:
     """Parse a document of one ';'-terminated tree per non-blank line."""
-    trees = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            trees.append(_parse_line(line, lineno))
+    t0 = time.perf_counter()
+    # lines end at '\n', '\r\n' or '\r' only; str.splitlines would also
+    # cut at '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028' and '\u2029'
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    trees = [_scan(line, lineno) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=parse_newick trees=%d taxa=%d bytes=%d ms=%.3f",
+            len(trees),
+            sum(len(t.leaves) for t in trees),
+            len(text.encode("utf-8", "surrogatepass")),
+            (time.perf_counter() - t0) * 1e3,
+        )
     return trees
 
 
 def ultranetwork_from_newick(tree: NewickTree, ultrametrize: bool = False) -> Ultranetwork:
     """Ultranetwork of a tree under the height convention above, read as
-    its dendrogram in one walk: the leaves in preorder (every subtree is a
-    run of it), the height of each adjacent pair's lowest common ancestor,
-    and the leaf heights.  No matrix is built."""
+    its dendrogram from the tree's arrays: the leaves in preorder (every
+    subtree is a run of it), the height of each adjacent pair's lowest
+    common ancestor, and the leaf heights.  No matrix is built."""
     t0 = time.perf_counter()
-    universe = TaxaSet(sorted(tree.leaf_names))
+    names = tree.leaf_names
+    universe = TaxaSet(sorted(names))
     n = len(universe)
-    order: list[int] = []
-    depths: list[float] = []  # leaf depths, in preorder
-    lca_depths: list[float] = []  # lca_depths[k]: LCA of leaves k and k + 1
-    # After a leaf, the next node taken from the stack is a child of the
-    # leaf's lowest ancestor that has a later child: that ancestor is the
-    # LCA of the leaf and the next leaf.
-    after_leaf = False
-    stack: list[tuple[NewickNode, float, float]] = [(tree.root, 0.0, 0.0)]
-    while stack:
-        node, depth, parent_depth = stack.pop()
-        if after_leaf:
-            lca_depths.append(parent_depth)
-            after_leaf = False
-        if not node.children:
-            order.append(universe.position(node.name))
-            depths.append(depth)
-            after_leaf = True
-            continue
-        for ch in reversed(node.children):
-            stack.append((ch, depth + ch.length, depth))
+    parents, leaves = tree.parents, tree.leaves
+    # Depths root-down in preorder, each the parent's depth plus the
+    # branch: the same additions in the same order as a walk from the root.
+    depth = [0.0]
+    for p, length in zip(islice(parents, 1, None), islice(tree.lengths, 1, None)):
+        depth.append(depth[p] + length)
+    depths = [depth[i] for i in leaves]
     height = max(depths)
-    joins = [height - d for d in lca_depths]
+    # The node after leaf k in preorder is a child of the LCA of leaves k
+    # and k + 1.
+    joins = [height - depth[parents[i + 1]] for i in islice(leaves, n - 1)]
+    order = [universe.position(name) for name in names]
     diagonal = [0.0] * n
     if not ultrametrize:
         for i, d in zip(order, depths):

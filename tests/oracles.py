@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +37,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 from phylolattice.faces import bron_kerbosch, canonical_faces, cover_graph
+from phylolattice.newick import NewickError, NewickNode
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -146,6 +149,202 @@ def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork
         for i, d in depth_of.items():
             m[i, i] = height - d
     return Ultranetwork(universe, m)
+
+
+# The character-cursor Newick parser, kept as the reference for the token
+# scan of ``phylolattice.newick``: one ``peek`` per structural test, one
+# ``NewickNode`` per node, and lines cut by ``str.splitlines``.
+
+_STRUCTURE = set("():,;'")
+_TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
+_BLANKS = re.compile(r"[ \t]*")
+
+
+@dataclass(frozen=True)
+class NodeTree:
+    root: NewickNode
+    leaf_names: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        names: list[str] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                names.append(node.name)
+            stack.extend(reversed(node.children))
+        object.__setattr__(self, "leaf_names", tuple(names))
+
+
+class _Cursor:
+    def __init__(self, text: str, line: int):
+        self.text = text
+        self.line = line
+        self.i = 0
+        self.seen_leaves: dict[str, int] = {}
+
+    def fail(self, message: str, col: int | None = None) -> NewickError:
+        return NewickError(message, self.line, self.i + 1 if col is None else col)
+
+    def peek(self) -> str | None:
+        """The next character after any blanks, which it skips; None at
+        the end of the line."""
+        ch = self.text[self.i : self.i + 1]
+        if ch == " " or ch == "\t":
+            self.i = _BLANKS.match(self.text, self.i).end()
+            ch = self.text[self.i : self.i + 1]
+        return ch or None
+
+    def take(self) -> str:
+        ch = self.text[self.i]
+        self.i += 1
+        return ch
+
+
+def _read_name(c: _Cursor) -> str | None:
+    ch = c.peek()
+    if ch == "'":
+        start = c.i + 1
+        c.take()
+        parts: list[str] = []
+        while True:
+            if c.i >= len(c.text):
+                raise c.fail("unterminated quoted name", start)
+            ch = c.take()
+            if ch == "'":
+                if c.i < len(c.text) and c.text[c.i] == "'":
+                    c.take()
+                    parts.append("'")
+                else:
+                    break
+            else:
+                parts.append(ch)
+        name = "".join(parts)
+        if not name:
+            raise c.fail("empty quoted name", start)
+        return name
+    if ch is None or ch in _STRUCTURE:
+        return None
+    token = _TOKEN.match(c.text, c.i).group()
+    c.i += len(token)
+    return token
+
+
+def _read_length(c: _Cursor) -> float | None:
+    if c.peek() != ":":
+        return None
+    c.take()
+    c.peek()  # skips the blanks before the length
+    start = c.i
+    token = _TOKEN.match(c.text, start).group()
+    c.i += len(token)
+    try:
+        value = float(token)
+    except ValueError:
+        raise c.fail(f"malformed branch length {token!r}", start + 1) from None
+    if not math.isfinite(value) or value < 0:
+        raise c.fail(f"branch length must be finite and nonnegative, got {token}", start + 1)
+    return value
+
+
+def _leaf(c: _Cursor) -> NewickNode:
+    name_col = c.i + 1
+    name = _read_name(c)
+    length = _read_length(c)
+    if name is None:
+        raise c.fail("leaf without a name", name_col)
+    if name in c.seen_leaves:
+        raise c.fail(f"duplicate leaf name {name!r}", name_col)
+    c.seen_leaves[name] = name_col
+    return NewickNode(name, 1.0 if length is None else length)
+
+
+def _subtree(c: _Cursor) -> NewickNode:
+    """One subtree, read with an explicit stack of the open parentheses
+    (column, children so far), so that nesting depth is not bounded by the
+    interpreter's recursion limit."""
+    stack: list[tuple[int, list[NewickNode]]] = []
+    while True:
+        while c.peek() == "(":
+            stack.append((c.i + 1, []))
+            c.take()
+        node = _leaf(c)
+        while stack:
+            open_col, children = stack[-1]
+            children.append(node)
+            ch = c.peek()
+            if ch == ",":
+                c.take()
+                break
+            if ch != ")":
+                raise c.fail(
+                    "unbalanced parentheses: '(' never closed"
+                    + (" (end of input)" if ch is None else ""),
+                    open_col if ch is None else None,
+                )
+            c.take()
+            stack.pop()
+            name = _read_name(c)
+            length = _read_length(c)
+            node = NewickNode(name, 1.0 if length is None else length, tuple(children))
+        else:
+            return node
+
+
+def _parse_line(text: str, line: int) -> NodeTree:
+    c = _Cursor(text, line)
+    root = _subtree(c)
+    ch = c.peek()
+    if ch != ";":
+        raise c.fail("expected ';'" + (" (end of input)" if ch is None else ""))
+    c.take()
+    if c.peek() is not None:
+        raise c.fail("trailing characters after ';'")
+    return NodeTree(root)
+
+
+def parse_newick_by_cursor(text: str) -> list[NodeTree]:
+    """Parse a document of one ';'-terminated tree per non-blank line."""
+    trees = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            trees.append(_parse_line(line, lineno))
+    return trees
+
+
+def ultranetwork_by_node_walk(tree, ultrametrize: bool = False) -> Ultranetwork:
+    """The dendrogram triple of a tree read off its ``NewickNode``s in one
+    walk: the leaves in preorder, the depth of each adjacent pair's lowest
+    common ancestor, and the leaf depths."""
+    universe = TaxaSet(sorted(tree.leaf_names))
+    n = len(universe)
+    order: list[int] = []
+    depths: list[float] = []  # leaf depths, in preorder
+    lca_depths: list[float] = []  # lca_depths[k]: LCA of leaves k and k + 1
+    # After a leaf, the next node taken from the stack is a child of the
+    # leaf's lowest ancestor that has a later child: that ancestor is the
+    # LCA of the leaf and the next leaf.
+    after_leaf = False
+    stack: list[tuple[NewickNode, float, float]] = [(tree.root, 0.0, 0.0)]
+    while stack:
+        node, depth, parent_depth = stack.pop()
+        if after_leaf:
+            lca_depths.append(parent_depth)
+            after_leaf = False
+        if not node.children:
+            order.append(universe.position(node.name))
+            depths.append(depth)
+            after_leaf = True
+            continue
+        for ch in reversed(node.children):
+            stack.append((ch, depth + ch.length, depth))
+    height = max(depths)
+    joins = [height - d for d in lca_depths]
+    diagonal = [0.0] * n
+    if not ultrametrize:
+        for i, d in zip(order, depths):
+            diagonal[i] = height - d
+    return Ultranetwork._from_linkage(universe, order, joins, diagonal)
 
 
 def newick_by_block_split(u) -> str:

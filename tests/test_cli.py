@@ -84,6 +84,21 @@ class TestValidate:
         assert run(["validate", "no-such-file.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_byte_order_marks_are_dropped(self, tmp_path, tree_file, matrix_file, capsys):
+        gram = tmp_path / "g.json"
+        assert run(["cliquegram", "--matrix", str(matrix_file), "-o", str(gram)]) == 0
+        for path in (tree_file, gram, matrix_file):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert run(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "OK: 3 tree(s) over 5 taxa",
+            "OK: cliquegram with 4 level(s)",
+            "OK: ultranetwork over 4 taxa",
+        ]
+        # the first taxon of the CSV is 'a', not '\ufeffa'
+        assert run(["cliquegram", "--matrix", str(matrix_file), "-o", str(gram)]) == 0
+        assert json.loads(gram.read_text(encoding="utf-8"))["taxa"] == list("abcd")
+
 
 _BAD_POINTS = [
     pytest.param('"oops"', 'point 1 must be an object', id="not-an-object"),

@@ -97,6 +97,11 @@ class TestMatrixCSV:
         with pytest.raises(ValueError, match="row 2, column 2: 'oops'"):
             parse_matrix_csv("a,b\n0,oops\n1,0\n")
 
+    def test_underscored_number_is_not_numeric(self):
+        # float() alone would read the cell as 10.0
+        with pytest.raises(ValueError, match=r"^non-numeric cell at row 2, column 2: '1_0'$"):
+            parse_matrix_csv("a,b\n0,1_0\n10,0\n")
+
     def test_network_rules_still_apply(self):
         with pytest.raises(ValueError, match="asymmetric"):
             parse_matrix_csv("a,b\n0,1\n2,0\n")

@@ -1,3 +1,7 @@
+import logging
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,8 @@ from phylolattice import (
     ultranetwork_from_newick,
 )
 
-from oracles import newick_by_block_split
-from util import caterpillar_newick, random_ultrametric, taxa
+from oracles import newick_by_block_split, parse_newick_by_cursor, ultranetwork_by_node_walk
+from util import caterpillar_newick, random_names, random_newick, random_ultrametric, taxa
 
 
 def one(text):
@@ -118,6 +122,47 @@ class TestParseErrors:
             parse_newick("(a,b);\n(c,c);")
 
 
+class TestLineBreaks:
+    """Lines end at '\\n', '\\r\\n' and '\\r' only, the breaks an editor shows."""
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_breaks(self, brk):
+        with pytest.raises(NewickError, match=r"^line 3, column 4: duplicate leaf name 'c'$"):
+            parse_newick(f"(a,b);{brk}{brk}(c,c);")
+
+    def test_quoted_name_holds_other_separators(self):
+        t = one("('a\x85b','c\u2028d',e\x0cf);")
+        assert t.leaf_names == ("a\x85b", "c\u2028d", "e\x0cf")
+
+    def test_line_number_after_a_paragraph_separator(self):
+        with pytest.raises(NewickError) as exc:
+            parse_newick("(a\u2028b,c);\n(d,d);")
+        assert str(exc.value) == "line 2, column 4: duplicate leaf name 'd'"
+        assert (exc.value.line, exc.value.col) == (2, 4)
+
+
+class TestLogging:
+    def test_debug_line(self, caplog):
+        text = "((a:1,b:2)r:1,c);\n\n('é d',e);\n"
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.newick"):
+            parse_newick(text)
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.newick"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=parse_newick"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["trees", "taxa", "bytes", "ms"]
+        # 30 characters, and 'é' takes two bytes
+        assert len(text) == 30
+        assert (fields["trees"], fields["taxa"], fields["bytes"]) == ("2", "5", "31")
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="phylolattice.newick"):
+            parse_newick("(a,b);\n")
+        assert not [r for r in caplog.records if r.name == "phylolattice.newick"]
+
+
 def preorder(tree):
     """(name, length) of every node of a parsed tree, in preorder."""
     out, stack = [], [tree.root]
@@ -171,6 +216,9 @@ class TestTokenDelimiters:
             ("(x:\t2x,y);", 5, "malformed branch length '2x'"),
             ("(x:nan,y);", 4, "branch length must be finite and nonnegative, got nan"),
             ("(x:1e400,y);", 4, "branch length must be finite and nonnegative, got 1e400"),
+            # float() alone would read these as 10.0 and 1.0
+            ("(x:1_0,y);", 4, "malformed branch length '1_0'"),
+            ("(x,y)r: 1.0_0;", 9, "malformed branch length '1.0_0'"),
         ]
         + [
             ("(x:" + token + d + ("y);" if d else ""), 4, message)
@@ -274,3 +322,111 @@ class TestWriter:
         back = ultranetwork_from_newick(parse_newick(text)[0])
         assert back.universe == ts
         assert np.array_equal(back.matrix, u.matrix)
+
+
+# The equivalence texts leave out '_' and every line separator but '\n',
+# '\r\n' and '\r': the cursor parser keeps float()'s reading of '1_0' and
+# str.splitlines' line breaks, which the scan refuses and does not cut at.
+_INNER_NAMES = ["n1", "anc", "'in ner'", "'it''s'", "x3", "'('"]
+_LINE_SEPARATORS = ["\n", "\r\n", "\r", "\n \n", "\n\t\r\n"]
+
+
+def _decorate(rng, text):
+    """The same tree with some leaves quoted, some inner nodes named and
+    blanks between some tokens."""
+    out = []
+    for tok in re.findall(r"[(),:;]|[^(),:;]+", text):
+        if tok.startswith("x") and rng.random() < 0.2:
+            tok = f"'{tok}'"
+        elif tok == ")" and rng.random() < 0.4:
+            tok += rng.choice(_INNER_NAMES)
+        out.append(tok)
+        if rng.random() < 0.1:
+            out.append(rng.choice([" ", "\t", "  "]))
+    return "".join(out)
+
+
+_BAD_LENGTHS = ["", " ", "-1", "-0.5", "abc", "1.2.3", "1e", "+", "inf", "nan", "1e400", "'q'", "("]
+_STRAYS = list("(),:;' \t") + ["x", "''", "'ab"]
+
+
+def _malformed(rng, text):
+    """``text`` broken in one of the ways a Newick line can be."""
+    kind = rng.randrange(10)
+    at = rng.randrange(len(text) + 1)
+    names = re.findall(r"x\d+", text)
+    if kind == 0:  # truncation
+        return text[:at]
+    if kind == 1:  # a stray character: a parenthesis, a quote, a blank, ...
+        return text[:at] + rng.choice(_STRAYS) + text[at:]
+    if kind == 2:  # a character dropped
+        return text[:at] + text[at + 1 :]
+    if kind == 3:  # a bad, negative or empty length
+        spans = [m.span() for m in re.finditer(r":[^(),:;]*", text)]
+        if not spans:
+            return text + ":" + rng.choice(_BAD_LENGTHS)
+        a, b = rng.choice(spans)
+        return text[:a] + ":" + rng.choice(_BAD_LENGTHS) + text[b:]
+    if kind == 4:  # a duplicate leaf
+        return text.replace(rng.choice(names), rng.choice(names), 1)
+    if kind == 5:  # a name after a leaf
+        name = rng.choice(names)
+        return text.replace(name, name + rng.choice([" y", "'z'", " 'z'", "\ty"]), 1)
+    if kind == 6:  # trailing text
+        return text + rng.choice([" junk", ";", "(", "'", "x", "  ;", ")", ":1"])
+    if kind == 7:  # an empty quoted name
+        return text.replace(rng.choice(names), "''", 1)
+    if kind == 8:  # an unterminated quoted name
+        return text.replace(rng.choice(names), "'" + rng.choice(names), 1)
+    # unbalanced parentheses: one dropped or doubled
+    spans = [m.start() for m in re.finditer(r"[()]", text)] or [at]
+    a = rng.choice(spans)
+    return text[:a] + text[a : a + 1] * rng.randrange(0, 3, 2) + text[a + 1 :]
+
+
+def _outcome(parse, text):
+    try:
+        trees = parse(text)
+    except NewickError as e:
+        return type(e), str(e), e.line, e.col
+    return [t.root for t in trees]
+
+
+class TestScanEqualsTheCursorParser:
+    """The token scan against the character-cursor parser it replaced
+    (``oracles.parse_newick_by_cursor``)."""
+
+    def test_trees_and_triples(self):
+        rng = random.Random(22)
+        for k in range(1200):
+            text = _decorate(rng, random_newick(rng, random_names(rng, 1 + k % 14)))
+            (tree,) = parse_newick(text)
+            (ref,) = parse_newick_by_cursor(text)
+            assert tree.leaf_names == ref.leaf_names
+            assert tree.root == ref.root, text
+            ultrametrize = k % 2 == 0
+            u = ultranetwork_from_newick(tree, ultrametrize=ultrametrize)
+            r = ultranetwork_by_node_walk(ref, ultrametrize=ultrametrize)
+            assert u.universe == r.universe
+            for a, b in zip((*u.linkage, u.diagonal), (*r.linkage, r.diagonal)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), text
+
+    def test_documents(self):
+        rng = random.Random(23)
+        for k in range(200):
+            lines = [_decorate(rng, random_newick(rng, random_names(rng, 1 + k % 6))) for _ in range(3)]
+            text = "".join(line + rng.choice(_LINE_SEPARATORS) for line in lines)
+            assert _outcome(parse_newick, text) == _outcome(parse_newick_by_cursor, text)
+
+    def test_malformed_lines(self):
+        rng = random.Random(24)
+        errors = 0
+        for _ in range(8000):
+            lines = [_decorate(rng, random_newick(rng, random_names(rng, rng.randint(1, 8))))
+                     for _ in range(rng.randint(1, 3))]
+            lines[-1] = _malformed(rng, lines[-1])
+            text = "".join(line + rng.choice(_LINE_SEPARATORS) for line in lines)
+            got = _outcome(parse_newick, text)
+            assert got == _outcome(parse_newick_by_cursor, text), repr(text)
+            errors += isinstance(got, tuple)
+        assert errors >= 5000

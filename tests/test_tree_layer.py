@@ -25,46 +25,18 @@ from phylolattice import (
 from phylolattice.cli import run
 
 from oracles import join_mergegram_by_matrix, ultranetwork_by_lca_matrix
+from util import random_names, random_newick
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "phylolattice"
 
-
-def _length(rng: random.Random) -> str:
-    """A branch length suffix: missing, zero, a quarter (ties) or a float."""
-    r = rng.random()
-    if r < 0.2:
-        return ""
-    if r < 0.35:
-        return ":0"
-    if r < 0.7:
-        return f":{rng.randint(0, 8) / 4!r}"
-    return f":{rng.uniform(0.0, 3.0)!r}"
-
-
-def random_newick(rng: random.Random, names) -> str:
-    """A random tree over ``names``: nodes of two to four children, so
-    multifurcations; zero, missing and tied lengths; leaves at different
-    depths, so late observation."""
-    nodes = [name + _length(rng) for name in names]
-    rng.shuffle(nodes)
-    while len(nodes) > 1:
-        k = min(len(nodes), rng.choice((2, 2, 3, 4)))
-        at = rng.randrange(len(nodes) - k + 1)
-        group = nodes[at : at + k]
-        nodes[at : at + k] = ["(" + ",".join(group) + ")" + _length(rng)]
-    return nodes[0] + ";"
-
-
-def _names(rng: random.Random, n: int) -> list[str]:
-    return [f"x{i}" for i in rng.sample(range(100), n)]
 
 
 class TestTriple:
     def test_matrix_view_equals_the_lca_matrix(self):
         rng = random.Random(16)
         for k in range(1200):
-            text = random_newick(rng, _names(rng, 1 + k % 14))
+            text = random_newick(rng, random_names(rng, 1 + k % 14))
             (tree,) = parse_newick(text)
             ultrametrize = k % 3 == 0
             u = ultranetwork_from_newick(tree, ultrametrize=ultrametrize)
@@ -92,14 +64,14 @@ class TestTriple:
     def test_views_compare_and_hash_like_matrices(self):
         rng = random.Random(3)
         for _ in range(50):
-            (tree,) = parse_newick(random_newick(rng, _names(rng, 6)))
+            (tree,) = parse_newick(random_newick(rng, random_names(rng, 6)))
             u, ref = ultranetwork_from_newick(tree), ultranetwork_by_lca_matrix(tree)
             assert u == ref and hash(u) == hash(ref)
 
     def test_treegram_and_ph0_equal_the_matrix_route(self):
         rng = random.Random(5)
         for k in range(200):
-            (tree,) = parse_newick(random_newick(rng, _names(rng, 1 + k % 10)))
+            (tree,) = parse_newick(random_newick(rng, random_names(rng, 1 + k % 10)))
             ultrametrize = k % 2 == 0
             u = ultranetwork_from_newick(tree, ultrametrize=ultrametrize)
             ref = ultranetwork_by_lca_matrix(tree, ultrametrize=ultrametrize)
@@ -141,7 +113,7 @@ class TestTripleCheck:
 def _families(seed: int, count: int):
     rng = random.Random(seed)
     for k in range(count):
-        names = _names(rng, 1 + k % 9)
+        names = random_names(rng, 1 + k % 9)
         yield [parse_newick(random_newick(rng, names))[0] for _ in range(1 + k % 5)]
 
 
@@ -157,7 +129,7 @@ class TestFastJoin:
     def test_newick_round_trips(self):
         rng = random.Random(11)
         for k in range(300):
-            (tree,) = parse_newick(random_newick(rng, _names(rng, 1 + k % 12)))
+            (tree,) = parse_newick(random_newick(rng, random_names(rng, 1 + k % 12)))
             u = ultranetwork_from_newick(tree)
             text = newick_from_ultranetwork(u)
             assert text == newick_from_ultranetwork(ultranetwork_by_lca_matrix(tree))
@@ -262,6 +234,43 @@ def test_tree_readers_read_no_matrix():
 def test_the_scan_sees_the_oracles_matrix_reads():
     (fn,) = _functions(ROOT / "tests" / "oracles.py", ("join_mergegram_by_matrix",))
     assert _matrix_reads(fn)
+
+
+def _root_reads(fn: ast.FunctionDef):
+    return [
+        f"{fn.name}:{node.lineno} .root"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "root"
+    ]
+
+
+# the character-cursor parser's names, which only its oracle may hold
+_CURSOR_NAMES = {"_Cursor", "peek"}
+
+
+def _cursor_names(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if getattr(node, "name", None) in _CURSOR_NAMES
+        or getattr(node, "id", None) in _CURSOR_NAMES
+        or getattr(node, "attr", None) in _CURSOR_NAMES
+    ]
+
+
+def test_the_tree_reader_reads_the_arrays_and_no_cursor_is_left():
+    (fn,) = _functions(PACKAGE / "newick.py", ("ultranetwork_from_newick",))
+    assert not _root_reads(fn)
+    found = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in _cursor_names(path)]
+    assert not found, f"cursor parser names in the library: {found}"
+
+
+def test_the_guards_see_the_oracles_root_reads_and_cursor():
+    oracles = ROOT / "tests" / "oracles.py"
+    (fn,) = _functions(oracles, ("ultranetwork_by_node_walk",))
+    assert _root_reads(fn)
+    assert _cursor_names(oracles)
 
 
 def caterpillar_family(rng: random.Random, names, trees: int) -> str:

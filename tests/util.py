@@ -98,3 +98,33 @@ def balanced_newick(n: int) -> str:
         return f"({clade(lo, mid)},{clade(mid, hi)})"
 
     return clade(0, n) + ";\n"
+
+
+def _length(rng: random.Random) -> str:
+    """A branch length suffix: missing, zero, a quarter (ties) or a float."""
+    r = rng.random()
+    if r < 0.2:
+        return ""
+    if r < 0.35:
+        return ":0"
+    if r < 0.7:
+        return f":{rng.randint(0, 8) / 4!r}"
+    return f":{rng.uniform(0.0, 3.0)!r}"
+
+
+def random_names(rng: random.Random, n: int) -> list[str]:
+    return [f"x{i}" for i in rng.sample(range(100), n)]
+
+
+def random_newick(rng: random.Random, names) -> str:
+    """A random tree over ``names``: nodes of two to four children, so
+    multifurcations; zero, missing and tied lengths; leaves at different
+    depths, so late observation."""
+    nodes = [name + _length(rng) for name in names]
+    rng.shuffle(nodes)
+    while len(nodes) > 1:
+        k = min(len(nodes), rng.choice((2, 2, 3, 4)))
+        at = rng.randrange(len(nodes) - k + 1)
+        group = nodes[at : at + k]
+        nodes[at : at + k] = ["(" + ",".join(group) + ")" + _length(rng)]
+    return nodes[0] + ";"
