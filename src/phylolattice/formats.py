@@ -32,6 +32,22 @@ log = logging.getLogger(__name__)
 FORMAT = "phylolattice/1"
 
 
+# ----------------------------------------------------------------- numbers
+
+def read_number(text: str) -> float | None:
+    """The value of ``text`` when it is a number in ASCII, else None: an
+    optional sign, then digits with an optional point and exponent, or
+    inf, infinity or nan in any case.  float() alone also reads '1_0' as
+    10.0, non-ASCII digits, and surrounding whitespace; in printable ASCII
+    without '_' or ' ' it reads exactly the numbers."""
+    if text.isascii() and text.isprintable() and "_" not in text and " " not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
+
+
 # ---------------------------------------------------------------- matrices
 
 def parse_matrix_csv(text: str) -> PhyloNetwork:
@@ -48,15 +64,10 @@ def parse_matrix_csv(text: str) -> PhyloNetwork:
         if len(row) != n:
             raise ValueError(f"row {i + 2} has {len(row)} cells, expected {n}")
         for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = None
-            # float() also reads '1_0' as 10.0
-            if value is None or "_" in cell:
-                raise ValueError(
-                    f"non-numeric cell at row {i + 2}, column {j + 1}: {cell.strip()!r}"
-                )
+            cell = cell.strip(" \t")
+            value = read_number(cell)
+            if value is None:
+                raise ValueError(f"non-numeric cell at row {i + 2}, column {j + 1}: {cell!r}")
             body[i, j] = value
     return validate_network(labels, body)
 

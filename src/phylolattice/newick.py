@@ -23,6 +23,7 @@ from itertools import islice
 
 import numpy as np
 
+from .formats import read_number
 from .networks import Ultranetwork, as_ultranetwork, PhyloNetwork
 from .taxa import TaxaSet
 
@@ -30,9 +31,11 @@ log = logging.getLogger(__name__)
 
 _STRUCTURE = set("():,;'")
 # A line's tokens: punctuation, a quoted name, an unquoted word (a name or
-# a branch length), or a quote that opens no complete quoted name.  Only
-# spaces and tabs fall between tokens.
-_TOKENS = re.compile(r"[(),:;]|'(?:[^']+|'')*+'|[^():,;' \t]+|'")
+# a branch length), or a quote that opens no complete quoted name.  A
+# quoted name closes at the last quote of an odd run; the name's pattern is
+# an unrolled loop, so it runs in linear time on an unterminated quote.
+# Only spaces and tabs fall between tokens.
+_TOKENS = re.compile(r"[(),:;]|'[^']*(?:''[^']*)*'(?!')|[^():,;' \t]+|'")
 # the punctuation tokens, and "", which the scan appends to end a line
 _PUNCTUATION = frozenset(("(", ")", ",", ":", ";", ""))
 
@@ -58,20 +61,31 @@ class NewickNode:
 class NewickTree:
     """A parsed tree as flat per-node arrays in preorder: ``parents[i]``
     (-1 at the root), ``lengths[i]`` (the branch to the parent, 1.0 when
-    the text had none) and ``names[i]`` (None for an unnamed inner node).
-    ``leaves`` holds the leaf nodes in preorder and ``leaf_names`` their
-    names; ``root``, the tree as linked ``NewickNode``s, is a view built
-    on its first read."""
+    the text had none), ``names[i]`` (None for an unnamed inner node) and
+    ``leaves``, the leaf nodes.  The arrays are the tree's own and are not
+    to be changed; trees compare and hash by them.  ``root``, the tree as
+    linked ``NewickNode``s, is a view built on its first read."""
 
-    __slots__ = ("parents", "lengths", "names", "leaves", "leaf_names", "_root")
+    __slots__ = ("parents", "lengths", "names", "leaves", "_root")
 
-    def __init__(self, parents, lengths, names, leaves, leaf_names):
-        self.parents = tuple(parents)
-        self.lengths = tuple(lengths)
-        self.names = tuple(names)
-        self.leaves = tuple(leaves)
-        self.leaf_names = tuple(leaf_names)
+    def __init__(self, parents: list[int], lengths: list[float], names: list, leaves: list[int]):
+        self.parents = parents
+        self.lengths = lengths
+        self.names = names
+        self.leaves = leaves
         self._root = None
+
+    @property
+    def leaf_names(self) -> tuple[str, ...]:
+        return tuple(map(self.names.__getitem__, self.leaves))
+
+    def __eq__(self, other):
+        if not isinstance(other, NewickTree):
+            return NotImplemented
+        return (self.parents, self.lengths, self.names) == (other.parents, other.lengths, other.names)
+
+    def __hash__(self):
+        return hash((tuple(self.parents), tuple(self.lengths), tuple(self.names)))
 
     @property
     def root(self) -> NewickNode:
@@ -149,12 +163,8 @@ def _scan(line: str, lineno: int) -> NewickTree:
                 tok = toks[k]
                 if tok in _PUNCTUATION or tok[0] == "'":
                     tok = ""  # a length is a word
-                try:
-                    value = float(tok)
-                except ValueError:
-                    value = None
-                # float() also reads '1_0' as 10.0
-                if value is None or "_" in tok:
+                value = read_number(tok)
+                if value is None:
                     raise _error(f"malformed branch length {tok!r}", line, lineno, k)
                 if not 0.0 <= value < math.inf:
                     raise _error(
@@ -191,7 +201,7 @@ def _scan(line: str, lineno: int) -> NewickTree:
         raise _error("expected ';'" + ("" if tok else " (end of input)"), line, lineno, k)
     if toks[k + 1]:
         raise _error("trailing characters after ';'", line, lineno, k + 1)
-    return NewickTree(parents, lengths, names, leaves.values(), leaves)
+    return NewickTree(parents, lengths, names, list(leaves.values()))
 
 
 def parse_newick(text: str) -> list[NewickTree]:

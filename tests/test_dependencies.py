@@ -49,3 +49,28 @@ def test_third_party_imports_are_declared_dependencies():
         if name not in sys.stdlib_module_names
     }
     assert imported <= declared, f"undeclared imports: {sorted(imported - declared)}"
+
+
+def _compiled_patterns(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.args[0].value
+
+
+def test_patterns_compile_on_the_oldest_supported_python(capsys):
+    """requires-python admits 3.10, whose re refuses possessive repeats and
+    atomic groups; a module compiling one would fail to import there."""
+    patterns = [p for path in sorted(PACKAGE.glob("*.py")) for p in _compiled_patterns(path)]
+    assert patterns
+    for pattern in patterns:
+        re.compile(pattern, re.DEBUG)  # prints the parsed pattern
+        parsed = capsys.readouterr().out
+        assert "POSSESSIVE_REPEAT" not in parsed and "ATOMIC_GROUP" not in parsed, pattern

@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from phylolattice import (
     join_grams,
     treegram_from_ultranetwork,
 )
+from phylolattice.formats import read_number
 
 from oracles import (
     gram_json_by_dumps,
@@ -101,6 +104,16 @@ class TestMatrixCSV:
         # float() alone would read the cell as 10.0
         with pytest.raises(ValueError, match=r"^non-numeric cell at row 2, column 2: '1_0'$"):
             parse_matrix_csv("a,b\n0,1_0\n10,0\n")
+
+    @pytest.mark.parametrize("cell", ["\uff11", "\u0661", "1\x0c", "\u00a01"])
+    def test_non_ascii_number_is_not_numeric(self, cell):
+        # float() alone would read each as 1.0
+        with pytest.raises(ValueError, match=r"^non-numeric cell at row 2, column 2: "):
+            parse_matrix_csv(f"a,b\n0,{cell}\n1,0\n")
+
+    def test_blanks_around_a_cell(self):
+        net = parse_matrix_csv("a,b\n0, 1.5\t\n 1.5 ,0\n")
+        assert net.matrix[0, 1] == net.matrix[1, 0] == 1.5
 
     def test_network_rules_still_apply(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -493,3 +506,24 @@ class TestSVG:
         assert svg.count("<polyline") == 2
         assert ">one<" in svg and ">two<" in svg
         assert ">k<" in svg
+
+
+# the numbers read_number reads, as a grammar
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))")
+
+
+class TestReadNumber:
+    def test_reads_the_ascii_grammar(self):
+        rng = random.Random(5)
+        alphabet = "0123456789.eE+-_ \t\x0b\x0c\x1cinfatyINFATYx\uff11\u0661\u00a0"
+        for _ in range(30000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            got = read_number(text)
+            if _NUMBER.fullmatch(text):
+                assert repr(got) == repr(float(text)), repr(text)
+            else:
+                assert got is None, repr(text)
+
+    @pytest.mark.parametrize("text", ["1_0", "\uff11", "\u0661", "1\x0c", " 1", "1\n", ""])
+    def test_refuses(self, text):
+        assert read_number(text) is None

@@ -70,6 +70,14 @@ class TestParsing:
         assert t.root.name == "root"
         assert t.root.children[0].name == "anc"
 
+    def test_trees_compare_by_value(self):
+        text = "((a:1,b)r:2,'c d');"
+        assert one(text) == one(text)
+        assert hash(one(text)) == hash(one(text))
+        assert len({one(text), one(text)}) == 1
+        for other in ["((a:1,b)r:2,'c e');", "((a:1,b):2,'c d');", "((a:1,b)r:3,'c d');", "((b:1,a)r:2,'c d');"]:
+            assert one(other) != one(text)
+
     def test_one_tree_per_line(self):
         trees = parse_newick("(a,b);\n\n  \n(c,d);\n")
         assert [t.leaf_names for t in trees] == [("a", "b"), ("c", "d")]
@@ -219,6 +227,11 @@ class TestTokenDelimiters:
             # float() alone would read these as 10.0 and 1.0
             ("(x:1_0,y);", 4, "malformed branch length '1_0'"),
             ("(x,y)r: 1.0_0;", 9, "malformed branch length '1.0_0'"),
+            # ... and these, with non-ASCII digits or other whitespace, as 1.0
+            ("(x:\uff11,y);", 4, "malformed branch length '\uff11'"),
+            ("(x:\u0661,y);", 4, "malformed branch length '\u0661'"),
+            ("(x:1\x0c,y);", 4, "malformed branch length '1\\x0c'"),
+            ("(x:\u20021,y);", 4, "malformed branch length '\\u20021'"),
         ]
         + [
             ("(x:" + token + d + ("y);" if d else ""), 4, message)
@@ -324,8 +337,9 @@ class TestWriter:
         assert np.array_equal(back.matrix, u.matrix)
 
 
-# The equivalence texts leave out '_' and every line separator but '\n',
-# '\r\n' and '\r': the cursor parser keeps float()'s reading of '1_0' and
+# The equivalence texts are ASCII and leave out '_' and every line
+# separator but '\n', '\r\n' and '\r': the cursor parser keeps float()'s
+# reading of '1_0', non-ASCII digits and surrounding whitespace, and
 # str.splitlines' line breaks, which the scan refuses and does not cut at.
 _INNER_NAMES = ["n1", "anc", "'in ner'", "'it''s'", "x3", "'('"]
 _LINE_SEPARATORS = ["\n", "\r\n", "\r", "\n \n", "\n\t\r\n"]
@@ -430,3 +444,12 @@ class TestScanEqualsTheCursorParser:
             assert got == _outcome(parse_newick_by_cursor, text), repr(text)
             errors += isinstance(got, tuple)
         assert errors >= 5000
+
+    def test_quote_dense_lines(self):
+        # runs of quotes, odd and even, closed and unclosed, among the
+        # other tokens
+        pieces = ["'", "''", "'" * 3, "a", "b'", "(", ")", ",", ":1", ";", " "]
+        rng = random.Random(25)
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 14)))
+            assert _outcome(parse_newick, text) == _outcome(parse_newick_by_cursor, text), repr(text)
