@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import time
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
 
@@ -362,34 +363,75 @@ def parse_mergegram_json(text: str):
 # -------------------------------------------------------------------- DOT
 
 def reeb_dot(r: ReebGraph) -> str:
-    """Undirected DOT drawing; node labels carry the critical heights."""
-    lines = ["graph reeb {", "  rankdir=BT;"]
-    for i, t in enumerate(r.criticals):
-        for k in range(r.vertex_counts[i]):
-            lines.append(f'  v{i}_{k} [label="t={t:g}"];')
-    lines.append('  top [label="inf", shape=plaintext];')
-    labels = r.universe.labels
-    names: dict[int, str] = {}
+    """Undirected DOT drawing; node labels carry the critical heights, and
+    edge labels the faces, with backslashes and double quotes escaped."""
+    t0 = time.perf_counter()
+    names = [s.replace("\\", "\\\\").replace('"', '\\"') for s in r.universe.labels]
+    tails = _DotTails(names)
+    numbers = [str(k) for k in range(max(r.vertex_counts))]
+    chunks = ["graph reeb {\n  rankdir=BT;\n"]
+    for i, (t, count) in enumerate(zip(r.criticals, r.vertex_counts)):
+        if count:
+            node, label = f"  v{i}_", f' [label="t={t:g}"];\n'
+            chunks.append(node + (label + node).join(numbers[:count]) + label)
+    chunks.append('  top [label="inf", shape=plaintext];\n')
     n = len(r.criticals)
-    for i in range(n):
-        for mask in r.edge_sets[i]:
-            name = names.get(mask)
-            if name is None:
-                name = names[mask] = "{" + ",".join(labels[j] for j in bits(mask)) + "}"
-            a = f"v{i}_{r.down[i][mask]}"
-            if i < n - 1:
-                b = f"v{i + 1}_{r.up[i][mask]}"
-                lines.append(f'  {a} -- {b} [label="{name}"];')
-            else:
-                lines.append(f'  {a} -- top [label="{name}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for i in range(n - 1):
+        chunks.append("".join(chain.from_iterable(zip(
+            repeat(f"  v{i}_"),
+            map(numbers.__getitem__, r.down_ids[i]),
+            repeat(f" -- v{i + 1}_"),
+            map(numbers.__getitem__, r.up_ids[i]),
+            map(tails.__getitem__, r.edge_sets[i]),
+        ))))
+    (top,), (down,) = r.edge_sets[-1], r.down_ids[-1]
+    chunks.append(
+        f'  v{n - 1}_{down} -- top [label="{_dot_face(names, top)}", style=dashed];\n}}\n'
+    )
+    text = "".join(chunks)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=reeb_dot levels=%d lines=%d bytes=%d ms=%.3f",
+            n,
+            r.vertex_count + r.finite_edge_count + 5,
+            len(text),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return text
+
+
+def _dot_face(names: Sequence[str], mask: int) -> str:
+    """The label text of a face, from the taxon names as DOT quotes them."""
+    return "{" + ",".join([names[j] for j in bits(mask)]) + "}"
+
+
+class _DotTails(dict):
+    """Face mask -> its edge line from the label on, built on first use
+    from ``names``, the taxon names as DOT quotes them."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: Sequence[str]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = ' [label="' + _dot_face(self.names, mask) + '"];\n'
+        return text
 
 
 # -------------------------------------------------------------------- SVG
 
 _W = 480
 _PAD = 48
+_XML_TEXT = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&apos;"}
+)
+
+
+def _text(s: str) -> str:
+    """``s`` with the characters XML reserves escaped."""
+    return s.translate(_XML_TEXT)
 
 
 def _scale(vals: Sequence[float]) -> tuple[float, float]:
@@ -410,7 +452,7 @@ def diagram_svg(m: Mergegram | PersistenceDiagram | LabeledMergegram, title: str
     if isinstance(m, LabeledMergegram):
         for mask, iv in m.sorted_entries():
             key = (iv.birth, iv.death)
-            name = "{" + ",".join(m.universe.names_of(mask)) + "}"
+            name = _text("{" + ",".join(m.universe.names_of(mask)) + "}")
             labels[key] = (labels[key] + " " + name) if key in labels else name
         m = m.unlabeled()
     coords = [v for b, d, _ in m.points for v in (b, d)]
@@ -447,7 +489,7 @@ def diagram_svg(m: Mergegram | PersistenceDiagram | LabeledMergegram, title: str
             f'<text x="{_PAD - 6}" y="{sy(tick):.1f}" text-anchor="end">{tick:g}</text>'
         )
     if title:
-        parts.append(f'<text x="{_W / 2}" y="16" text-anchor="middle">{title}</text>')
+        parts.append(f'<text x="{_W / 2}" y="16" text-anchor="middle">{_text(title)}</text>')
     for b, d, mult in m.points:
         x, y = sx(b), sy(d)
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#225"/>')
@@ -488,8 +530,8 @@ def line_plot_svg(
         f'<rect width="{_W}" height="{_W}" fill="white"/>',
         f'<line x1="{_PAD}" y1="{_W - _PAD}" x2="{_W - _PAD}" y2="{_W - _PAD}" stroke="black"/>',
         f'<line x1="{_PAD}" y1="{_W - _PAD}" x2="{_PAD}" y2="{_PAD}" stroke="black"/>',
-        f'<text x="{_W - _PAD}" y="{_W - _PAD + 28}" text-anchor="end">{x_label}</text>',
-        f'<text x="{_PAD}" y="{_PAD - 20}">{y_label}</text>',
+        f'<text x="{_W - _PAD}" y="{_W - _PAD + 28}" text-anchor="end">{_text(x_label)}</text>',
+        f'<text x="{_PAD}" y="{_PAD - 20}">{_text(y_label)}</text>',
     ]
     for tick in (ylo, (ylo + yhi) / 2, yhi):
         parts.append(
@@ -503,6 +545,6 @@ def line_plot_svg(
         color = _PALETTE[k % len(_PALETTE)]
         path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in sorted(pts))
         parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{_W - _PAD - 2}" y="{_PAD + 14 * k}" text-anchor="end" fill="{color}">{name}</text>')
+        parts.append(f'<text x="{_W - _PAD - 2}" y="{_PAD + 14 * k}" text-anchor="end" fill="{color}">{_text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,9 +12,9 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections import Counter
-from itertools import accumulate
-from typing import Iterable
+from itertools import compress
+from operator import ne
+from typing import Iterable, Sequence
 
 from .faces import canonical_faces
 from .grams import Gram
@@ -25,15 +25,21 @@ log = logging.getLogger(__name__)
 
 
 class ReebGraph:
-    """Leveled multigraph: criticals, per-level edges, and incidence maps.
+    """Leveled multigraph: criticals, per-level edges, and their endpoints.
 
     ``edge_sets[i]`` are the faces at critical ``criticals[i]``; the edge
     runs upward to the next critical (the last one runs to infinity, and
-    only there is the up map missing).  ``down[i]`` and ``up[i]`` send a
-    face to its vertex index below and above the slab.
+    only there is the upper endpoint missing).  ``down_ids[i][k]`` and
+    ``up_ids[i][k]`` are the vertex indices below and above the slab of
+    the face ``edge_sets[i][k]``; ``up_ids[-1]`` is None.  ``down[i]``
+    and ``up[i]`` are the same as maps from face to vertex, built on
+    first read.
     """
 
-    __slots__ = ("universe", "criticals", "edge_sets", "vertex_counts", "down", "up")
+    __slots__ = (
+        "universe", "criticals", "edge_sets", "vertex_counts",
+        "down_ids", "up_ids", "_down", "_up",
+    )
 
     def __init__(
         self,
@@ -44,36 +50,46 @@ class ReebGraph:
         down: tuple[dict[int, int], ...],
         up: tuple[dict[int, int] | None, ...],
     ):
-        n = len(criticals)
-        if n == 0:
-            raise ValueError("a Reeb graph needs at least one level")
-        if not (len(edge_sets) == len(vertex_counts) == len(down) == len(up) == n):
-            raise ValueError("level-indexed fields disagree in length")
-        if any(criticals[i] >= criticals[i + 1] for i in range(n - 1)):
-            raise ValueError("criticals must be strictly increasing")
-        if len(edge_sets[-1]) != 1:
-            raise ValueError("the top slab must be a single half-infinite edge")
-        for i in range(n):
-            if set(down[i]) != set(edge_sets[i]):
-                raise ValueError(f"down map at level {i} does not cover the edges")
-            if i < n - 1:
-                if up[i] is None or set(up[i]) != set(edge_sets[i]):
-                    raise ValueError(f"up map at level {i} does not cover the edges")
-            elif up[i] is not None:
-                raise ValueError("the top slab has no upper endpoint")
-            bound = vertex_counts[i]
-            if any(not 0 <= v < bound for v in down[i].values()):
-                raise ValueError(f"down map at level {i} out of range")
-            if i < n - 1 and any(
-                not 0 <= v < vertex_counts[i + 1] for v in up[i].values()
-            ):
-                raise ValueError(f"up map at level {i} out of range")
+        checked = _checked(criticals, edge_sets, vertex_counts, down, up, _ids_of_map)
+        self._store(universe, criticals, edge_sets, vertex_counts, *checked)
+
+    @classmethod
+    def _of_ids(
+        cls,
+        universe: TaxaSet,
+        criticals: tuple[float, ...],
+        edge_sets: tuple[tuple[int, ...], ...],
+        vertex_counts: tuple[int, ...],
+        down_ids: Sequence[tuple[int, ...]],
+        up_ids: Sequence[tuple[int, ...] | None],
+    ) -> "ReebGraph":
+        """The graph of the vertex ids aligned with ``edge_sets``, under
+        the constructor's checks, messages and order."""
+        checked = _checked(criticals, edge_sets, vertex_counts, down_ids, up_ids, _ids_as_given)
+        r = object.__new__(cls)
+        r._store(universe, criticals, edge_sets, vertex_counts, *checked)
+        return r
+
+    def _store(self, universe, criticals, edge_sets, vertex_counts, down_ids, up_ids):
         self.universe = universe
         self.criticals = criticals
         self.edge_sets = edge_sets
         self.vertex_counts = vertex_counts
-        self.down = down
-        self.up = up
+        self.down_ids = down_ids
+        self.up_ids = up_ids
+        self._down = self._up = None
+
+    @property
+    def down(self) -> tuple[dict[int, int], ...]:
+        if self._down is None:
+            self._down = tuple(map(_face_map, self.edge_sets, self.down_ids))
+        return self._down
+
+    @property
+    def up(self) -> tuple[dict[int, int] | None, ...]:
+        if self._up is None:
+            self._up = tuple(map(_face_map, self.edge_sets, self.up_ids))
+        return self._up
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReebGraph):
@@ -83,8 +99,8 @@ class ReebGraph:
             and self.criticals == other.criticals
             and self.edge_sets == other.edge_sets
             and self.vertex_counts == other.vertex_counts
-            and self.down == other.down
-            and self.up == other.up
+            and self.down_ids == other.down_ids
+            and self.up_ids == other.up_ids
         )
 
     def __repr__(self) -> str:
@@ -102,13 +118,25 @@ class ReebGraph:
         return sum(len(es) for es in self.edge_sets[:-1])
 
     def component_count(self) -> int:
-        first = list(accumulate(self.vertex_counts, initial=0))  # level -> first vertex id
-        edges = (
-            (first[i] + self.down[i][m], first[i + 1] + self.up[i][m])
-            for i in range(len(self.criticals) - 1)
-            for m in self.edge_sets[i]
-        )
-        return len(set(_roots(self.vertex_count, edges)))
+        """Components of the finite part, swept slab by slab: each vertex
+        takes the label of one vertex below it, or a new label when it has
+        none, so only the edges whose ends then differ in label are
+        joined."""
+        labels = list(range(self.vertex_counts[0]))  # of the vertices at the boundary
+        count = len(labels)  # labels handed out
+        joins: list[tuple[int, int]] = []
+        for i in range(len(self.criticals) - 1):
+            below = list(map(labels.__getitem__, self.down_ids[i]))
+            above = dict(zip(self.up_ids[i], below))  # vertex -> a label below it
+            labels = list(map(above.get, range(self.vertex_counts[i + 1])))
+            at = -1
+            for _ in range(labels.count(None)):  # vertices with no edge below
+                at = labels.index(None, at + 1)
+                labels[at] = count
+                count += 1
+            upper = list(map(labels.__getitem__, self.up_ids[i]))
+            joins.extend(compress(zip(below, upper), map(ne, below, upper)))
+        return len(set(_roots(count, joins)))
 
     def cycle_rank(self) -> int:
         """First Betti number of the finite part (half-infinite edge excluded)."""
@@ -132,6 +160,53 @@ class ReebGraph:
             prev = faces
         points.extend((b, math.inf) for b in births.values())
         return Mergegram(points)
+
+
+def _checked(criticals, edge_sets, vertex_counts, down, up, ids):
+    """The down and up ids aligned with ``edge_sets``, checked level by
+    level.  ``ids(given, faces)`` reads the ids of ``faces`` off what a
+    level was given, or is None unless it gives exactly one per face."""
+    n = len(criticals)
+    if n == 0:
+        raise ValueError("a Reeb graph needs at least one level")
+    if not (len(edge_sets) == len(vertex_counts) == len(down) == len(up) == n):
+        raise ValueError("level-indexed fields disagree in length")
+    if any(criticals[i] >= criticals[i + 1] for i in range(n - 1)):
+        raise ValueError("criticals must be strictly increasing")
+    if len(edge_sets[-1]) != 1:
+        raise ValueError("the top slab must be a single half-infinite edge")
+    down_ids: list[tuple[int, ...]] = []
+    up_ids: list[tuple[int, ...] | None] = []
+    for i, faces in enumerate(edge_sets):
+        below = ids(down[i], faces)
+        if below is None:
+            raise ValueError(f"down map at level {i} does not cover the edges")
+        above = None
+        if i < n - 1:
+            above = None if up[i] is None else ids(up[i], faces)
+            if above is None:
+                raise ValueError(f"up map at level {i} does not cover the edges")
+        elif up[i] is not None:
+            raise ValueError("the top slab has no upper endpoint")
+        if below and (min(below) < 0 or max(below) >= vertex_counts[i]):
+            raise ValueError(f"down map at level {i} out of range")
+        if above and (min(above) < 0 or max(above) >= vertex_counts[i + 1]):
+            raise ValueError(f"up map at level {i} out of range")
+        down_ids.append(below)
+        up_ids.append(above)
+    return tuple(down_ids), tuple(up_ids)
+
+
+def _ids_of_map(given: dict[int, int], faces: tuple[int, ...]) -> tuple[int, ...] | None:
+    return tuple(map(given.__getitem__, faces)) if set(given) == set(faces) else None
+
+
+def _ids_as_given(given: tuple[int, ...], faces: tuple[int, ...]) -> tuple[int, ...] | None:
+    return given if len(given) == len(faces) else None
+
+
+def _face_map(faces: tuple[int, ...], ids: tuple[int, ...] | None) -> dict[int, int] | None:
+    return None if ids is None else dict(zip(faces, ids))
 
 
 def _roots(count: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -160,44 +235,63 @@ def face_reeb_graph(g: Gram) -> ReebGraph:
     families (the family below the first level is empty), numbered in the
     canonical order of the union.  Both families are antichains, so a face
     in both is comparable to no other face, and a face that dies at level i
-    can only lie in a face born there: only those pairs are compared.
+    can only lie in a face born there: only those pairs are compared.  The
+    faces in both levels are runs of vertices of their own between the
+    changed faces, so one forward scan of each level places the changed
+    faces and numbers every vertex, in the order of the level's faces.
     """
     t0 = time.perf_counter()
     edge_sets = tuple(fs.faces for _, fs in g.levels)
     vertex_counts: list[int] = []
-    down: list[dict[int, int]] = []
-    up: list[dict[int, int] | None] = []
-    prev: frozenset[int] = frozenset()
-    for i, faces in enumerate(edge_sets):
-        cur = frozenset(faces)
-        nodes = canonical_faces(prev | cur)
-        index = {m: k for k, m in enumerate(nodes)}
-        born = cur - prev
+    down_ids: list[tuple[int, ...]] = []
+    up_ids: list[tuple[int, ...] | None] = []
+    changed = pairs = 0
+    prev: tuple[int, ...] = ()
+    for i, ((_, born, dying), cur) in enumerate(zip(g._events(), edge_sets)):
+        moved = canonical_faces(born + dying)
+        index = {m: k for k, m in enumerate(moved)}
         roots = _roots(
-            len(nodes),
-            ((index[d], index[b]) for d in prev - cur for b in born if d | b == b),
+            len(moved), ((index[d], index[b]) for d in dying for b in born if d | b == b)
         )
+        new = set(born)
+        down: list[int] = []  # the vertex of each face of cur, in order
+        up: list[int] = []  # the vertex of each face of prev, in order
         ids: dict[int, int] = {}  # component root -> vertex number
-        comp = {m: ids.setdefault(r, len(ids)) for m, r in zip(nodes, roots)}
-        vertex_counts.append(len(ids))
+        v = 0  # vertices numbered so far
+        for m, root in zip(moved, roots):
+            # the faces in both levels before m are vertices of their own
+            side, faces = (down, cur) if m in new else (up, prev)
+            run = faces.index(m, len(side)) - len(side)
+            if run:
+                down.extend(range(v, v + run))
+                up.extend(range(v, v + run))
+                v += run
+            vertex = ids.setdefault(root, v)
+            if vertex == v:
+                v += 1
+            side.append(vertex)
+        run = len(cur) - len(down)
+        down.extend(range(v, v + run))
+        up.extend(range(v, v + run))
+        vertex_counts.append(v + run)
+        down_ids.append(tuple(down))
         if i:
-            up.append({m: comp[m] for m in edge_sets[i - 1]})
-        down.append({m: comp[m] for m in faces})
+            up_ids.append(tuple(up))
+        changed += len(moved)
+        pairs += len(born) * len(dying)
         prev = cur
-    up.append(None)  # the top slab runs to infinity
-    r = ReebGraph(
-        g.universe, g.criticals, edge_sets, tuple(vertex_counts), tuple(down), tuple(up)
+    up_ids.append(None)  # the top slab runs to infinity
+    r = ReebGraph._of_ids(
+        g.universe, g.criticals, edge_sets, tuple(vertex_counts), down_ids, up_ids
     )
     if log.isEnabledFor(logging.DEBUG):
-        # every face is born once, and every face but the full one dies once
-        births = Counter(iv.birth for iv in g.lifespans.values())
-        deaths = Counter(iv.death for iv in g.lifespans.values())
         log.debug(
-            "stage=reeb levels=%d faces=%d changed=%d pairs=%d ms=%.3f",
+            "stage=reeb levels=%d faces=%d vertices=%d changed=%d pairs=%d ms=%.3f",
             len(edge_sets),
             sum(map(len, edge_sets)),
-            2 * len(g.lifespans) - 1,
-            sum(k * births[t] for t, k in deaths.items()),
+            r.vertex_count,
+            changed,
+            pairs,
             (time.perf_counter() - t0) * 1e3,
         )
     return r

@@ -845,7 +845,8 @@ def labeled_mergegram_json_by_dumps(lm) -> str:
 
 
 def reeb_dot_by_names_of(r) -> str:
-    """Reeb DOT text, naming every edge's face with ``names_of``."""
+    """Reeb DOT text, naming every edge's face with ``names_of``, each name
+    with its backslashes and double quotes escaped as DOT quotes them."""
     lines = ["graph reeb {", "  rankdir=BT;"]
     for i, t in enumerate(r.criticals):
         for k in range(r.vertex_counts[i]):
@@ -854,7 +855,9 @@ def reeb_dot_by_names_of(r) -> str:
     n = len(r.criticals)
     for i in range(n):
         for mask in r.edge_sets[i]:
-            name = "{" + ",".join(r.universe.names_of(mask)) + "}"
+            name = "{" + ",".join(
+                re.sub(r'(["\\])', r"\\\1", s) for s in r.universe.names_of(mask)
+            ) + "}"
             a = f"v{i}_{r.down[i][mask]}"
             if i < n - 1:
                 b = f"v{i + 1}_{r.up[i][mask]}"
@@ -901,6 +904,68 @@ def reeb_by_pair_scan(g) -> ReebGraph:
         for i in range(n)
     )
     return ReebGraph(g.universe, g.criticals, edge_sets, tuple(vertex_counts), down, up)
+
+
+def _union_roots(count: int, pairs) -> list[int]:
+    """Each of the nodes 0 to count-1 mapped to its root once every pair is
+    joined."""
+    parent = list(range(count))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+    return [find(i) for i in range(count)]
+
+
+def reeb_by_changed_pairs(g) -> ReebGraph:
+    """Face-Reeb graph comparing only the faces each level changes: a
+    union-find over the canonically sorted union of the two levels joins
+    each dying face to the born faces that contain it, and a dict per
+    level maps each face to its component's number."""
+    edge_sets = tuple(fs.faces for _, fs in g.levels)
+    vertex_counts: list[int] = []
+    down: list[dict[int, int]] = []
+    up: list[dict[int, int] | None] = []
+    prev: frozenset[int] = frozenset()
+    for i, faces in enumerate(edge_sets):
+        cur = frozenset(faces)
+        nodes = canonical_faces(prev | cur)
+        index = {m: k for k, m in enumerate(nodes)}
+        born = cur - prev
+        roots = _union_roots(
+            len(nodes),
+            ((index[d], index[b]) for d in prev - cur for b in born if d | b == b),
+        )
+        ids: dict[int, int] = {}  # component root -> vertex number
+        comp = {m: ids.setdefault(r, len(ids)) for m, r in zip(nodes, roots)}
+        vertex_counts.append(len(ids))
+        if i:
+            up.append({m: comp[m] for m in edge_sets[i - 1]})
+        down.append({m: comp[m] for m in faces})
+        prev = cur
+    up.append(None)  # the top slab runs to infinity
+    return ReebGraph(
+        g.universe, g.criticals, edge_sets, tuple(vertex_counts), tuple(down), tuple(up)
+    )
+
+
+def component_count_by_union_find(r) -> int:
+    """Components of a Reeb graph's finite part: one union-find over every
+    vertex, joining the two ends of every finite edge as the face maps
+    give them."""
+    first = list(itertools.accumulate(r.vertex_counts, initial=0))
+    edges = (
+        (first[i] + r.down[i][m], first[i + 1] + r.up[i][m])
+        for i in range(len(r.criticals) - 1)
+        for m in r.edge_sets[i]
+    )
+    return len(set(_union_roots(sum(r.vertex_counts), edges)))
 
 
 def check_gram_by_covers(universe, levels, kind: str = "facegram") -> None:

@@ -1,6 +1,7 @@
 import json
 import logging
 import time
+from xml.dom import minidom
 
 import pytest
 
@@ -312,6 +313,20 @@ class TestMergegramCommand:
         ) == 0
         assert svg.read_text().startswith("<svg ")
         assert parse_mergegram_json(out.read_text()) is not None
+
+    def test_labeled_svg_of_names_to_escape_is_well_formed(self, tmp_path):
+        trees = tmp_path / "t.nwk"
+        trees.write_text("(('a&b':1,'c<d':1):1,'e\"f':2);\n")
+        svg = tmp_path / "m.svg"
+        args = ["mergegram", "--in", str(trees), "--labeled", "-o", str(tmp_path / "m.json")]
+        assert run(args + ["--svg", str(svg)]) == 0
+        text = svg.read_text()
+        labels = {
+            t.firstChild.data
+            for t in minidom.parseString(text).getElementsByTagName("text")
+            if t.firstChild.data.startswith("{")
+        }
+        assert labels == {"{a&b} {c<d}", '{e"f}', "{a&b,c<d}", '{a&b,c<d,e"f}'}
 
 
 class TestDist:

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -474,8 +475,72 @@ class TestReebDot:
             r = face_reeb_graph(g)
             assert reeb_dot(r) == reeb_dot_by_names_of(r)
 
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        ts = TaxaSet(['a"b', "c\\d", "e"])
+        g = Gram(
+            ts,
+            [
+                (0.0, FaceSet(ts, [0b001, 0b010])),
+                (0.5, FaceSet(ts, [0b011, 0b100])),
+                (2.0, FaceSet(ts, [0b111])),
+            ],
+        )
+        assert reeb_dot(face_reeb_graph(g)) == (
+            "graph reeb {\n"
+            "  rankdir=BT;\n"
+            '  v0_0 [label="t=0"];\n'
+            '  v0_1 [label="t=0"];\n'
+            '  v1_0 [label="t=0.5"];\n'
+            '  v1_1 [label="t=0.5"];\n'
+            '  v2_0 [label="t=2"];\n'
+            '  top [label="inf", shape=plaintext];\n'
+            '  v0_0 -- v1_0 [label="{a\\"b}"];\n'
+            '  v0_1 -- v1_0 [label="{c\\\\d}"];\n'
+            '  v1_0 -- v2_0 [label="{a\\"b,c\\\\d}"];\n'
+            '  v1_1 -- v2_0 [label="{e}"];\n'
+            '  v2_0 -- top [label="{a\\"b,c\\\\d,e}", style=dashed];\n'
+            "}\n"
+        )
+
+    def test_debug_line(self, caplog, rng):
+        # plain names, so that each line of the text ends at a newline
+        grams = [g for g in _grams_of_every_kind(rng) if g.universe == taxa(len(g.universe))]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.formats"):
+            texts = [reeb_dot(face_reeb_graph(g)) for g in grams]
+        records = [r for r in caplog.records if r.name == "phylolattice.formats"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * len(grams)
+        for record, g, text in zip(records, grams, texts):
+            stage, *pairs = record.getMessage().split()
+            assert stage == "stage=reeb_dot"
+            fields = dict(p.split("=") for p in pairs)
+            assert list(fields) == ["levels", "lines", "bytes", "ms"]
+            assert int(fields["levels"]) == len(g.criticals)
+            assert int(fields["lines"]) == text.count("\n")
+            assert int(fields["bytes"]) == len(text)
+            assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
+        r = face_reeb_graph(cliquegram_from_network(random_network(taxa(4), rng)))
+        with caplog.at_level(logging.INFO, logger="phylolattice.formats"):
+            reeb_dot(r)
+        assert not [r for r in caplog.records if r.name == "phylolattice.formats"]
+
 
 class TestSVG:
+    def test_text_is_escaped(self):
+        ts = TaxaSet(["a&b", "c<d", "e>'\"f"])
+        lm = LabeledMergegram(
+            ts, {0b001: Interval(0, 1), 0b010: Interval(0, 1), 0b111: Interval(1, INF)}
+        )
+        svg = diagram_svg(lm, title="<a & b>")
+        minidom.parseString(svg)
+        assert ">&lt;a &amp; b&gt;<" in svg
+        assert ">{a&amp;b} {c&lt;d}<" in svg
+        assert ">{a&amp;b,c&lt;d,e&gt;&apos;&quot;f}<" in svg
+        plot = line_plot_svg({"x<y": [(0, 0), (1, 1)]}, x_label="k&", y_label='"d"')
+        minidom.parseString(plot)
+        assert ">x&lt;y<" in plot and ">k&amp;<" in plot and ">&quot;d&quot;<" in plot
+
     def test_diagram_elements(self):
         m = Mergegram([(0, 1, 3), (0.5, INF)])
         svg = diagram_svg(m, title="demo")

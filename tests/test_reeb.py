@@ -9,6 +9,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 
+from oracles import component_count_by_union_find
 from util import gram_of, random_network, random_ultrametric, taxa
 
 
@@ -152,6 +153,97 @@ class TestReebValidation:
                 ({0b1: 0}, {0b1: 0}),
                 ({0b1: 0}, None),
             )
+
+
+def _ids_args(a):
+    """The constructor arguments with the maps as ids aligned with the edges."""
+    b = dict(a)
+    del b["down"], b["up"]
+    b["down_ids"] = tuple(tuple(d[m] for m in es) for d, es in zip(a["down"], a["edge_sets"]))
+    b["up_ids"] = tuple(
+        None if u is None else tuple(u[m] for m in es) for u, es in zip(a["up"], a["edge_sets"])
+    )
+    return b
+
+
+def _two_level_args():
+    ts = taxa(2)
+    return dict(
+        universe=ts,
+        criticals=(0.0, 1.0),
+        edge_sets=((0b01, 0b10), (0b11,)),
+        vertex_counts=(2, 1),
+        down=({0b01: 0, 0b10: 1}, {0b11: 0}),
+        up=({0b01: 0, 0b10: 0}, None),
+    )
+
+
+class TestAlignedIds:
+    """``ReebGraph._of_ids``, which ``face_reeb_graph`` builds through, keeps
+    the constructor's checks and messages on ids aligned with the edges."""
+
+    def test_same_graph_as_the_maps(self):
+        a = _two_level_args()
+        r = ReebGraph._of_ids(**_ids_args(a))
+        assert r == ReebGraph(**a)
+        assert r.down_ids == ((0, 1), (0,)) and r.up_ids == ((0, 0), None)
+        assert r._down is None and r._up is None
+        assert r.down == a["down"] and r.up == a["up"]
+        assert r.down is r.down  # built once
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(criticals=(), edge_sets=(), vertex_counts=(), down_ids=(), up_ids=()),
+             "a Reeb graph needs at least one level"),
+            (dict(vertex_counts=(2,)), "level-indexed fields disagree in length"),
+            (dict(criticals=(1.0, 1.0)), "criticals must be strictly increasing"),
+            (dict(edge_sets=((0b01, 0b10), (0b01, 0b10))),
+             "the top slab must be a single half-infinite edge"),
+            (dict(down_ids=((0,), (0,))), "down map at level 0 does not cover the edges"),
+            (dict(up_ids=(None, None)), "up map at level 0 does not cover the edges"),
+            (dict(up_ids=((0, 0, 0), None)), "up map at level 0 does not cover the edges"),
+            (dict(up_ids=((0, 0), (0,))), "the top slab has no upper endpoint"),
+            (dict(down_ids=((0, 2), (0,))), "down map at level 0 out of range"),
+            (dict(down_ids=((-1, 1), (0,))), "down map at level 0 out of range"),
+            (dict(up_ids=((0, 1), None)), "up map at level 0 out of range"),
+            (dict(down_ids=((0, 1), (1,))), "down map at level 1 out of range"),
+        ],
+    )
+    def test_refusals(self, change, message):
+        b = _ids_args(_two_level_args())
+        b.update(change)
+        with pytest.raises(ValueError) as err:
+            ReebGraph._of_ids(**b)
+        assert str(err.value) == message
+
+
+def _random_leveled_graph(rng):
+    """Any leveled multigraph the constructor admits: random slabs of faces
+    over four taxa with random vertex counts and random endpoints."""
+    ts = taxa(4)
+    n = rng.randint(1, 6)
+    edge_sets = tuple(
+        tuple(rng.sample(range(1, 15), rng.randint(0, 5))) for _ in range(n - 1)
+    ) + ((0b1111,),)
+    counts = tuple(rng.randint(1, 4) for _ in range(n))
+    down = tuple({m: rng.randrange(counts[i]) for m in es} for i, es in enumerate(edge_sets))
+    up = tuple(
+        {m: rng.randrange(counts[i + 1]) for m in es} if i < n - 1 else None
+        for i, es in enumerate(edge_sets)
+    )
+    return ReebGraph(ts, tuple(map(float, range(n))), edge_sets, counts, down, up)
+
+
+def test_component_count_of_any_leveled_graph(rng):
+    seen = set()
+    for _ in range(500):
+        r = _random_leveled_graph(rng)
+        components = component_count_by_union_find(r)
+        assert r.component_count() == components
+        assert r.cycle_rank() == r.finite_edge_count - r.vertex_count + components
+        seen.add(components)
+    assert len(seen) >= 5, seen
 
 
 def test_loop_gram_mergegram_has_both_pairs():

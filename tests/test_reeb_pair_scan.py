@@ -1,6 +1,7 @@
-"""The face-Reeb graph, which compares only the faces each level changes,
-against the pair scan over every (previous, current) face pair, and its
-DEBUG line."""
+"""The face-Reeb graph, which compares only the faces each level changes
+and numbers the vertices along each level's canonical faces, against the
+pair scan over every (previous, current) face pair and the construction with a
+dict per level, and its DEBUG line."""
 
 import logging
 import random
@@ -16,7 +17,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 
-from oracles import reeb_by_pair_scan
+from oracles import component_count_by_union_find, reeb_by_changed_pairs, reeb_by_pair_scan
 from util import (
     gram_of,
     random_monotone_table,
@@ -83,8 +84,16 @@ def test_matches_the_pair_scan():
             g = with_empty_first_level(g)
             empty_first += 1
         got, expect = face_reeb_graph(g), reeb_by_pair_scan(g)
-        assert got == expect
+        assert got == expect == reeb_by_changed_pairs(g)
         assert reeb_dot(got) == reeb_dot(expect)
+        components = component_count_by_union_find(expect)
+        assert got.component_count() == components
+        assert got.cycle_rank() == (
+            expect.finite_edge_count - expect.vertex_count + components
+        )
+        # the DOT writer and the counts read the ids and build no map
+        assert got._down is None and got._up is None
+        assert got.down == expect.down and got.up == expect.up
         seen[kind] += 1
         loops += got.cycle_rank() > 0
         split_levels += any(
@@ -117,9 +126,10 @@ class TestReebLog:
             stage, *pairs = record.getMessage().split()
             assert stage == "stage=reeb"
             fields = dict(p.split("=") for p in pairs)
-            assert list(fields) == ["levels", "faces", "changed", "pairs", "ms"]
+            assert list(fields) == ["levels", "faces", "vertices", "changed", "pairs", "ms"]
             counts = tuple(int(fields[k]) for k in ("faces", "changed", "pairs"))
             assert int(fields["levels"]) == len(h.levels)
+            assert int(fields["vertices"]) == reeb_by_pair_scan(h).vertex_count
             assert counts == _level_counts(h)
             assert float(fields["ms"]) >= 0
         assert _level_counts(g) == (6, 11, 8)
