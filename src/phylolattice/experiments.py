@@ -40,9 +40,9 @@ def random_dissimilarity(universe: TaxaSet, rng: random.Random) -> PhyloNetwork:
     """Zero diagonal, i.i.d. uniform(0,1) off-diagonal entries."""
     n = len(universe)
     m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = rng.random()
+    # drawn in row-major order over the pairs i < j, as triu_indices lists them
+    upper = np.triu_indices(n, 1)
+    m[upper] = m.T[upper] = [rng.random() for _ in range(len(upper[0]))]
     return PhyloNetwork(universe, m)
 
 

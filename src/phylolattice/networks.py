@@ -49,7 +49,7 @@ class PhyloNetwork:
                 if i < j:
                     violations.append(
                         f"asymmetric pair ({universe.labels[i]},{universe.labels[j]}): "
-                        f"{m[i, j]!r} vs {m[j, i]!r}"
+                        f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
                     )
             d = np.diag(m)
             bad = np.maximum.outer(d, d) > m
@@ -58,7 +58,7 @@ class PhyloNetwork:
                 if i < j:
                     violations.append(
                         f"diagonal exceeds entry at ({universe.labels[i]},{universe.labels[j]}): "
-                        f"max({d[i]!r},{d[j]!r}) > {m[i, j]!r}"
+                        f"max({float(d[i])!r},{float(d[j])!r}) > {float(m[i, j])!r}"
                     )
         if violations:
             raise NetworkValidationError(violations)
@@ -98,7 +98,8 @@ class Ultranetwork(PhyloNetwork):
     A network built from a matrix takes its linkage from the pass that
     validated it (``_single_linkage``).  One built from the triple by
     ``_from_linkage`` (a Newick tree's leaf preorder, adjacent join
-    heights and leaf heights) builds ``matrix`` on its first read.
+    heights and leaf heights, or a clustering's merged member lists,
+    merge heights and zero diagonal) builds ``matrix`` on its first read.
     """
 
     __slots__ = ("linkage", "diagonal")

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 from .formats import read_number
 from .networks import Ultranetwork, as_ultranetwork, PhyloNetwork
 from .taxa import TaxaSet
@@ -271,43 +269,51 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
     the diagonal is lost: reading the text back recovers the matrix minus
     that minimum.  Networks with at least one on-time taxon (a zero on
     the diagonal) round-trip exactly.
+
+    The clades come from one pass over the linkage with a stack of open
+    clades, lowest on top: a join larger than an open clade's height
+    closes it, a join equal to it adds a child to it, and a smaller one
+    opens a clade below it.  Children are written in order of their
+    smallest taxon.
     """
+    t0 = time.perf_counter()
     u = as_ultranetwork(u)
     labels = u.universe.labels
-    order, joins = u.linkage
+    order, joins = (a.tolist() for a in u.linkage)
+    diagonal = u.diagonal.tolist()
 
-    def split(a: int, b: int) -> tuple[float, list[tuple[int, int]]]:
-        """Height of the clade at positions [a, b) of the linkage order and
-        its child clades, each a run cut where the clade's height was paid,
-        ordered by their smallest taxon."""
-        inner = joins[a : b - 1]  # inner[k]: entry by which position a + k + 1 joined
-        top = float(inner.max())
-        cuts = [a, *(a + 1 + int(k) for k in np.flatnonzero(inner == top)), b]
-        runs = sorted(zip(cuts, cuts[1:]), key=lambda r: order[r[0] : r[1]].min())
-        return top, runs
+    def leaf(i: int) -> tuple[int, str, float]:
+        return i, _quote_name(labels[i]), diagonal[i]
 
-    # a stack of open clades (height, child runs, texts and heights so far)
-    stack: list[tuple[float, list[tuple[int, int]], list[tuple[str, float]]]] = []
-    a, b = 0, len(labels)
-    while True:
-        if b - a > 1:
-            top, runs = split(a, b)
-            stack.append((top, runs, []))
-            a, b = runs[0]
-            continue
-        i = order[a]
-        done = _quote_name(labels[i]), float(u.diagonal[i])
-        while stack:
-            top, runs, parts = stack[-1]
-            parts.append(done)
-            if len(parts) < len(runs):
-                a, b = runs[len(parts)]
-                break
-            stack.pop()
-            inner = ",".join(f"{txt}:{_fmt(top - h)}" for txt, h in parts)
-            done = f"({inner})", top
+    def close(top: float, parts: list, last: tuple[int, str, float]) -> tuple[int, str, float]:
+        parts.append(last)
+        parts.sort()
+        inner = ",".join(f"{txt}:{_fmt(top - h)}" for _, txt, h in parts)
+        return parts[0][0], f"({inner})", top
+
+    # done: the clade or leaf that ends at the current position, as
+    # (smallest taxon, text, height); stack: the open clades around it
+    done = leaf(order[0])
+    stack: list[tuple[float, list[tuple[int, str, float]]]] = []
+    for join, i in zip(joins, islice(order, 1, None)):
+        while stack and stack[-1][0] < join:
+            done = close(*stack.pop(), done)
+        if stack and stack[-1][0] == join:
+            stack[-1][1].append(done)
         else:
-            return done[0] + ";"
+            stack.append((join, [done]))
+        done = leaf(i)
+    while stack:
+        done = close(*stack.pop(), done)
+    text = done[1] + ";"
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "stage=write_newick taxa=%d bytes=%d ms=%.3f",
+            len(labels),
+            len(text.encode("utf-8", "surrogatepass")),
+            (time.perf_counter() - t0) * 1e3,
+        )
+    return text
 
 
 __all__ = [

@@ -29,6 +29,7 @@ from phylolattice import (
     TaxaSet,
     Ultranetwork,
     all_faces,
+    as_ultranetwork,
     bits,
     faceset_leq,
     is_subpartition,
@@ -105,6 +106,62 @@ def minimax_closure(m: np.ndarray) -> np.ndarray:
             for j in range(n):
                 out[i, j] = min(out[i, j], max(out[i, k], out[k, j]))
     return out
+
+
+def random_dissimilarity_by_pairs(universe: TaxaSet, rng) -> PhyloNetwork:
+    """Zero diagonal, uniform(0,1) entries drawn one pair at a time, rows
+    in order and each row left to right."""
+    n = len(universe)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = rng.random()
+    return PhyloNetwork(universe, m)
+
+
+def agglomerative_by_submatrix(net: PhyloNetwork, method: str = "single") -> Ultranetwork:
+    """Cophenetic ultrametric of iterative pair merging, each merge found
+    in a copy of the active block, the matrix filled pair by pair and
+    validated from scratch."""
+    if np.diag(net.matrix).any():
+        raise ValueError("clustering expects a zero diagonal")
+    universe = net.universe
+    n = len(universe)
+    out = np.zeros((n, n))
+    if n == 1:
+        return Ultranetwork(universe, out)
+
+    d = net.matrix.astype(float).copy()
+    np.fill_diagonal(d, np.inf)
+    active = list(range(n))
+    size = [1] * n
+    members: list[list[int]] = [[i] for i in range(n)]
+    height = 0.0
+    for _ in range(n - 1):
+        sub = d[np.ix_(active, active)]
+        flat = int(np.argmin(sub))
+        ai, aj = divmod(flat, len(active))
+        if ai > aj:
+            ai, aj = aj, ai
+        i, j = active[ai], active[aj]
+        height = max(height, float(d[i, j]))
+        for x in members[i]:
+            for y in members[j]:
+                out[x, y] = out[y, x] = height
+        rest = [k for k in active if k != i and k != j]
+        if rest:
+            if method == "single":
+                merged = np.minimum(d[i, rest], d[j, rest])
+            else:
+                merged = (size[i] * d[i, rest] + size[j] * d[j, rest]) / (
+                    size[i] + size[j]
+                )
+            d[i, rest] = merged
+            d[rest, i] = merged
+        members[i].extend(members[j])
+        size[i] += size[j]
+        active.remove(j)
+    return Ultranetwork(universe, out)
 
 
 def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork:
@@ -375,6 +432,51 @@ def newick_by_block_split(u) -> str:
         return f"({inner})", top
 
     return emit(list(range(len(labels))))[0] + ";"
+
+
+def newick_by_linkage_runs(u) -> str:
+    """Dendrogram text from the linkage, one clade at a time: a clade is a
+    run of the linkage order, its height the largest join inside the run,
+    and its children the sub-runs cut where that height was paid, ordered
+    by their smallest taxon."""
+    u = as_ultranetwork(u)
+    labels = u.universe.labels
+    order, joins = u.linkage
+
+    def quote(name: str) -> str:
+        if name and not any(ch in "():,;' \t" for ch in name):
+            return name
+        return "'" + name.replace("'", "''") + "'"
+
+    def split(a: int, b: int) -> tuple[float, list[tuple[int, int]]]:
+        inner = joins[a : b - 1]  # inner[k]: entry by which position a + k + 1 joined
+        top = float(inner.max())
+        cuts = [a, *(a + 1 + int(k) for k in np.flatnonzero(inner == top)), b]
+        runs = sorted(zip(cuts, cuts[1:]), key=lambda r: order[r[0] : r[1]].min())
+        return top, runs
+
+    # a stack of open clades (height, child runs, texts and heights so far)
+    stack: list[tuple[float, list[tuple[int, int]], list[tuple[str, float]]]] = []
+    a, b = 0, len(labels)
+    while True:
+        if b - a > 1:
+            top, runs = split(a, b)
+            stack.append((top, runs, []))
+            a, b = runs[0]
+            continue
+        i = order[a]
+        done = quote(labels[i]), float(u.diagonal[i])
+        while stack:
+            top, runs, parts = stack[-1]
+            parts.append(done)
+            if len(parts) < len(runs):
+                a, b = runs[len(parts)]
+                break
+            stack.pop()
+            inner = ",".join(f"{txt}:{float(top - h)!r}" for txt, h in parts)
+            done = f"({inner})", top
+        else:
+            return done[0] + ";"
 
 
 def _pairs(diagram) -> list[tuple[float, float]]:

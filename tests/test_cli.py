@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import time
 from xml.dom import minidom
 
@@ -18,7 +19,13 @@ from phylolattice import (
     ultranetwork_from_newick,
 )
 from phylolattice.cli import run
+from phylolattice.experiments import default_taxa
 
+from oracles import (
+    agglomerative_by_submatrix,
+    newick_by_linkage_runs,
+    random_dissimilarity_by_pairs,
+)
 from util import balanced_newick, caterpillar_newick, random_ultrametric, taxa
 
 
@@ -388,6 +395,25 @@ class TestPipelines:
             name = f"matrix_{i:03d}.csv"
             assert (a / name).read_text() == (b / name).read_text()
             parse_matrix_csv((a / name).read_text())
+
+    @pytest.mark.parametrize(
+        "n, trees, seed, method",
+        [(1, 2, 0, "upgma"), (2, 3, 5, "single"), (9, 4, 3, "upgma"), (24, 3, 7, "single")],
+    )
+    def test_gen_trees_matches_oracle_route(self, tmp_path, n, trees, seed, method):
+        out = tmp_path / "gen"
+        cmd = ["gen-trees", "-n", str(n), "-l", str(trees), "--seed", str(seed)]
+        assert run(cmd + ["--method", method, "-o", str(out)]) == 0
+        rng = random.Random(seed)
+        ultras = [
+            agglomerative_by_submatrix(random_dissimilarity_by_pairs(default_taxa(n), rng), method)
+            for _ in range(trees)
+        ]
+        lines = "".join(newick_by_linkage_runs(u) + "\n" for u in ultras)
+        assert (out / "trees.nwk").read_bytes() == lines.encode()
+        for i, u in enumerate(ultras):
+            want = serialize_matrix_csv(u).encode()
+            assert (out / f"matrix_{i:03d}.csv").read_bytes() == want
 
     def test_experiment_outputs(self, tmp_path):
         trees_dir = tmp_path / "gen"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from phylolattice import (
@@ -9,7 +11,21 @@ from phylolattice import (
     partial_joins,
     treegram_from_ultranetwork,
 )
-from phylolattice.experiments import default_taxa
+from phylolattice.experiments import default_taxa, random_dissimilarity
+
+from oracles import random_dissimilarity_by_pairs
+
+
+def test_random_dissimilarity_matches_pair_loop():
+    # the same draws in the same cells, and the generator left in the same state
+    for seed in (0, 1, 7, 2023):
+        for n in range(1, 41):
+            ts = default_taxa(n)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_dissimilarity(ts, got_rng)
+            want = random_dissimilarity_by_pairs(ts, want_rng)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), (seed, n)
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestConfig:

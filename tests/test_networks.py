@@ -37,6 +37,16 @@ def test_diagonal_bound():
         validate_network(["x", "y"], [[3, 1], [1, 0]])
 
 
+def test_violations_print_plain_floats():
+    # worded as the triple check words them, whatever numpy's scalar repr
+    with pytest.raises(NetworkValidationError) as err:
+        validate_network(["x", "y", "z"], [[0, 1, 1], [1, 0, 1], [1, 2, 0]])
+    assert err.value.violations == ["asymmetric pair (y,z): 1.0 vs 2.0"]
+    with pytest.raises(NetworkValidationError) as err:
+        validate_network(["x", "y"], [[0, -1], [-1, 0.5]])
+    assert err.value.violations == ["diagonal exceeds entry at (x,y): max(0.0,0.5) > -1.0"]
+
+
 def test_late_observation_is_legal():
     net = validate_network(["x", "y"], [[2, 3], [3, 1]])
     assert net.matrix[0, 0] == 2.0

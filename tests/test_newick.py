@@ -15,7 +15,12 @@ from phylolattice import (
     ultranetwork_from_newick,
 )
 
-from oracles import newick_by_block_split, parse_newick_by_cursor, ultranetwork_by_node_walk
+from oracles import (
+    newick_by_block_split,
+    newick_by_linkage_runs,
+    parse_newick_by_cursor,
+    ultranetwork_by_node_walk,
+)
 from util import caterpillar_newick, random_names, random_newick, random_ultrametric, taxa
 
 
@@ -165,9 +170,25 @@ class TestLogging:
         assert (fields["trees"], fields["taxa"], fields["bytes"]) == ("2", "5", "31")
         assert float(fields["ms"]) >= 0
 
-    def test_no_log_line_above_debug(self, caplog):
+    def test_write_debug_line(self, caplog):
+        u = Ultranetwork(TaxaSet(["x", "y", "é"]), [[0, 1, 3], [1, 0, 3], [3, 3, 0]])
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.newick"):
+            text = newick_from_ultranetwork(u)
+        # 26 characters, and 'é' takes two bytes
+        assert text == "((x:1.0,y:1.0):2.0,é:3.0);"
+        (record,) = [r for r in caplog.records if r.name == "phylolattice.newick"]
+        assert record.levelno == logging.DEBUG
+        stage, *pairs = record.getMessage().split()
+        assert stage == "stage=write_newick"
+        fields = dict(p.split("=") for p in pairs)
+        assert list(fields) == ["taxa", "bytes", "ms"]
+        assert (fields["taxa"], fields["bytes"]) == ("3", "27")
+        assert float(fields["ms"]) >= 0
+
+    def test_no_log_line_above_debug(self, caplog, rng):
         with caplog.at_level(logging.INFO, logger="phylolattice.newick"):
             parse_newick("(a,b);\n")
+            newick_from_ultranetwork(random_ultrametric(taxa(5), rng, late=True))
         assert not [r for r in caplog.records if r.name == "phylolattice.newick"]
 
 
@@ -293,6 +314,23 @@ class TestWriter:
             if k % 3 == 0:
                 u = Ultranetwork(ts, np.round(u.matrix * 3))
             assert newick_from_ultranetwork(u) == newick_by_block_split(u)
+
+    def test_matches_linkage_runs(self):
+        # reader-built trees (leaf preorder linkage) and the same matrices
+        # validated from scratch (Prim order from taxon 0): multifurcations,
+        # tied and zero lengths, late observation and names needing quotes
+        rng = random.Random(7)
+        odd = ["a b", "it's", "(p)", "q:r", "s,t", "u;v", "w\tx"]
+        for k in range(3000):
+            n = 1 + k % 30
+            names = random_names(rng, n)
+            for i in rng.sample(range(n), min(n, k % 4)):
+                name = rng.choice(odd) + names[i]
+                names[i] = "'" + name.replace("'", "''") + "'"
+            tree = parse_newick(random_newick(rng, names))[0]
+            read = ultranetwork_from_newick(tree, ultrametrize=k % 5 == 0)
+            for u in (read, Ultranetwork(read.universe, read.matrix)):
+                assert newick_from_ultranetwork(u) == newick_by_linkage_runs(u), k
 
     def test_round_trip(self, rng):
         for n in (2, 3, 5, 6):
