@@ -99,7 +99,6 @@ from .formats import (
 )
 from .newick import (
     NewickError,
-    NewickNode,
     NewickTree,
     newick_from_ultranetwork,
     parse_newick,

@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cliquegram(args) -> int:
     net = formats.parse_matrix_csv(_read(args.matrix))
-    g = cliquegram_from_network(net, merge_tol=args.merge_tol)
+    g = cliquegram_from_network(net)
     _write(args.output, formats.gram_json(g))
     return 0
 
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("cliquegram", help="maximal-clique sweep of a network matrix")
     q.add_argument("--matrix", required=True, help="distance matrix CSV")
-    q.add_argument("--merge-tol", type=float, default=0.0, help="snap levels closer than this")
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_cliquegram)
 

@@ -16,7 +16,7 @@ import math
 import time
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,23 +110,26 @@ def _number(v) -> str:
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _FaceTexts(dict):
-    """Face mask -> ``_dumps`` text of its name list, built on first use:
-    ``lead``, then the list with its items two spaces deeper than
-    ``indent``.  The masks are faces of a validated value."""
+class _Memo(dict):
+    """Key -> ``build(key)``, built on first use."""
 
-    __slots__ = ("items", "indent", "lead")
+    __slots__ = ("build",)
 
-    def __init__(self, universe: TaxaSet, indent: str, lead: str = ""):
+    def __init__(self, build: Callable):
         super().__init__()
-        self.items = [indent + "  " + _quote(s) for s in universe.labels]
-        self.indent = indent
-        self.lead = lead
+        self.build = build
 
-    def __missing__(self, mask: int) -> str:
-        items = self.items
-        text = self[mask] = self.lead + _array([items[i] for i in bits(mask)], self.indent)
-        return text
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _face_texts(universe: TaxaSet, indent: str, lead: str = "") -> _Memo:
+    """Face mask -> ``_dumps`` text of its name list: ``lead``, then the
+    list with its items two spaces deeper than ``indent``.  The masks are
+    faces of a validated value."""
+    items = [indent + "  " + _quote(s) for s in universe.labels]
+    return _Memo(lambda mask: lead + _array([items[i] for i in bits(mask)], indent))
 
 
 def _load(text: str, want: str | Sequence[str]) -> dict:
@@ -203,7 +206,7 @@ def _universe_in(doc: dict) -> TaxaSet:
 
 def gram_json(g: Gram) -> str:
     t0 = time.perf_counter()
-    faces = _FaceTexts(g.universe, " " * 8, lead=" " * 8)
+    faces = _face_texts(g.universe, " " * 8, lead=" " * 8)
     levels = [
         '    {\n      "faces": '
         + _array([faces[m] for m in fs.faces], "      ")
@@ -305,7 +308,7 @@ def mergegram_json(m: Mergegram | PersistenceDiagram) -> str:
 
 
 def labeled_mergegram_json(lm: LabeledMergegram) -> str:
-    labels = _FaceTexts(lm.universe, " " * 6)
+    labels = _face_texts(lm.universe, " " * 6)
     points = [
         '    {\n      "birth": ' + _number(iv.birth)
         + ',\n      "death": '
@@ -362,12 +365,22 @@ def parse_mergegram_json(text: str):
 
 # -------------------------------------------------------------------- DOT
 
+# C0 controls and DEL, which the drawings show as visible \uXXXX text
+_CONTROLS = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}
+# DOT quoting; the backslash of a shown control is escaped like any other
+_DOT_TEXT = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', **{c: "\\" + shown for c, shown in _CONTROLS.items()}}
+)
+
+
 def reeb_dot(r: ReebGraph) -> str:
     """Undirected DOT drawing; node labels carry the critical heights, and
-    edge labels the faces, with backslashes and double quotes escaped."""
+    edge labels the faces, with backslashes and double quotes escaped and
+    control characters shown as ``\\uXXXX``."""
     t0 = time.perf_counter()
-    names = [s.replace("\\", "\\\\").replace('"', '\\"') for s in r.universe.labels]
-    tails = _DotTails(names)
+    names = [s.translate(_DOT_TEXT) for s in r.universe.labels]
+    # face mask -> its edge line from the label on
+    tails = _Memo(lambda mask: ' [label="' + _dot_face(names, mask) + '"];\n')
     numbers = [str(k) for k in range(max(r.vertex_counts))]
     chunks = ["graph reeb {\n  rankdir=BT;\n"]
     for i, (t, count) in enumerate(zip(r.criticals, r.vertex_counts)):
@@ -405,32 +418,18 @@ def _dot_face(names: Sequence[str], mask: int) -> str:
     return "{" + ",".join([names[j] for j in bits(mask)]) + "}"
 
 
-class _DotTails(dict):
-    """Face mask -> its edge line from the label on, built on first use
-    from ``names``, the taxon names as DOT quotes them."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: Sequence[str]):
-        super().__init__()
-        self.names = names
-
-    def __missing__(self, mask: int) -> str:
-        text = self[mask] = ' [label="' + _dot_face(self.names, mask) + '"];\n'
-        return text
-
-
 # -------------------------------------------------------------------- SVG
 
 _W = 480
 _PAD = 48
 _XML_TEXT = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&apos;"}
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&apos;", **_CONTROLS}
 )
 
 
 def _text(s: str) -> str:
-    """``s`` with the characters XML reserves escaped."""
+    """``s`` with the characters XML reserves escaped, and the control
+    characters, which XML 1.0 admits in no form, as ``\\uXXXX``."""
     return s.translate(_XML_TEXT)
 
 

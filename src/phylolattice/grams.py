@@ -280,21 +280,9 @@ def gram_leq(a: Gram, b: Gram) -> bool:
     return all(covering.value(m) <= iv.birth for m, iv in a.lifespans.items())
 
 
-def _coalesce(values: np.ndarray, tol: float) -> list[float]:
-    """Cluster sorted values within ``tol`` of a representative; keep minima."""
-    out: list[float] = []
-    for v in values:
-        if out and v - out[-1] <= tol:
-            continue
-        out.append(float(v))
-    return out
-
-
-def _clique_levels(
-    net: PhyloNetwork, merge_tol: float
-) -> tuple[list[tuple[float, list[int]]], int]:
+def _clique_levels(net: PhyloNetwork) -> tuple[list[tuple[float, list[int]]], int]:
     """Sweep the sub-level graphs of ``net``: the face masks of one level
-    per coalesced value, and the number of cliques the region searches
+    per matrix value, and the number of cliques the region searches
     listed.
 
     One threshold graph grows through the upper triangle in sorted order,
@@ -316,7 +304,7 @@ def _clique_levels(
     R stops growing once it holds every vertex.
     """
     n = len(net.universe)
-    values = _coalesce(np.unique(net.matrix), merge_tol)
+    values = np.unique(net.matrix).tolist()
     rows, cols = np.triu_indices(n)
     entries = net.matrix[rows, cols]
     order = np.argsort(entries)
@@ -355,16 +343,14 @@ def _clique_levels(
     return levels, enumerated
 
 
-def cliquegram_from_network(net: PhyloNetwork, merge_tol: float = 0.0) -> Gram:
+def cliquegram_from_network(net: PhyloNetwork) -> Gram:
     """Maximal cliques of the sub-level graphs, one level per matrix value.
 
     At threshold eps the graph keeps taxa observed by eps and joins pairs
-    that have coalesced by eps.  ``merge_tol`` coalesces nearly equal
-    matrix values before the sweep (each cluster is represented by its
-    minimum); the default keeps every distinct value.
+    that have coalesced by eps.
     """
     t0 = time.perf_counter()
-    levels, enumerated = _clique_levels(net, merge_tol)
+    levels, enumerated = _clique_levels(net)
     g = Gram._of_masks(net.universe, levels, "cliquegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -477,7 +463,7 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     enumeration.
     """
     if isinstance(f, VRFiltration):
-        return Gram._of_masks(f.universe, _clique_levels(f.network, 0.0)[0])
+        return Gram._of_masks(f.universe, _clique_levels(f.network)[0])
     if isinstance(f, PullbackFiltration):
         # preimages keep inclusion both ways, so they keep maximality
         base = facegram_from_filtration(f.base).lifespans.items()

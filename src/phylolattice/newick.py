@@ -18,7 +18,6 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass
 from itertools import islice
 
 from .formats import read_number
@@ -45,33 +44,20 @@ class NewickError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class NewickNode:
-    name: str | None
-    length: float  # branch to the parent; 1.0 when the text had none
-    children: tuple["NewickNode", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 class NewickTree:
     """A parsed tree as flat per-node arrays in preorder: ``parents[i]``
     (-1 at the root), ``lengths[i]`` (the branch to the parent, 1.0 when
     the text had none), ``names[i]`` (None for an unnamed inner node) and
     ``leaves``, the leaf nodes.  The arrays are the tree's own and are not
-    to be changed; trees compare and hash by them.  ``root``, the tree as
-    linked ``NewickNode``s, is a view built on its first read."""
+    to be changed; trees compare and hash by them."""
 
-    __slots__ = ("parents", "lengths", "names", "leaves", "_root")
+    __slots__ = ("parents", "lengths", "names", "leaves")
 
     def __init__(self, parents: list[int], lengths: list[float], names: list, leaves: list[int]):
         self.parents = parents
         self.lengths = lengths
         self.names = names
         self.leaves = leaves
-        self._root = None
 
     @property
     def leaf_names(self) -> tuple[str, ...]:
@@ -84,19 +70,6 @@ class NewickTree:
 
     def __hash__(self):
         return hash((tuple(self.parents), tuple(self.lengths), tuple(self.names)))
-
-    @property
-    def root(self) -> NewickNode:
-        if self._root is None:
-            # in reverse preorder every node comes after its descendants
-            # and its later siblings
-            children: list[list[NewickNode]] = [[] for _ in self.parents]
-            for i in range(len(self.parents) - 1, -1, -1):
-                node = NewickNode(self.names[i], self.lengths[i], tuple(reversed(children[i])))
-                if i:
-                    children[self.parents[i]].append(node)
-            self._root = node
-        return self._root
 
 
 def _error(message: str, line: str, lineno: int, k: int) -> NewickError:
@@ -252,6 +225,8 @@ def ultranetwork_from_newick(tree: NewickTree, ultrametrize: bool = False) -> Ul
 
 
 def _quote_name(name: str) -> str:
+    if "\n" in name or "\r" in name:
+        raise ValueError(f"taxon {name!r} holds a line break, which ends a Newick tree")
     if name and not any(ch in _STRUCTURE or ch in " \t" for ch in name):
         return name
     return "'" + name.replace("'", "''") + "'"
@@ -268,7 +243,8 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
     the deepest leaf at height zero, so the smallest observation time on
     the diagonal is lost: reading the text back recovers the matrix minus
     that minimum.  Networks with at least one on-time taxon (a zero on
-    the diagonal) round-trip exactly.
+    the diagonal) round-trip exactly.  A taxon name may not hold a line
+    break, since the text has one tree per line.
 
     The clades come from one pass over the linkage with a stack of open
     clades, lowest on top: a join larger than an open clade's height
@@ -318,7 +294,6 @@ def newick_from_ultranetwork(u: PhyloNetwork) -> str:
 
 __all__ = [
     "NewickError",
-    "NewickNode",
     "NewickTree",
     "parse_newick",
     "ultranetwork_from_newick",

@@ -10,7 +10,6 @@ vertices.  The topmost slab is a single half-infinite edge.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from itertools import compress
 from operator import ne
@@ -18,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .faces import canonical_faces
 from .grams import Gram
-from .mergegram import Mergegram
 from .taxa import TaxaSet
 
 log = logging.getLogger(__name__)
@@ -31,15 +29,10 @@ class ReebGraph:
     runs upward to the next critical (the last one runs to infinity, and
     only there is the upper endpoint missing).  ``down_ids[i][k]`` and
     ``up_ids[i][k]`` are the vertex indices below and above the slab of
-    the face ``edge_sets[i][k]``; ``up_ids[-1]`` is None.  ``down[i]``
-    and ``up[i]`` are the same as maps from face to vertex, built on
-    first read.
+    the face ``edge_sets[i][k]``; ``up_ids[-1]`` is None.
     """
 
-    __slots__ = (
-        "universe", "criticals", "edge_sets", "vertex_counts",
-        "down_ids", "up_ids", "_down", "_up",
-    )
+    __slots__ = ("universe", "criticals", "edge_sets", "vertex_counts", "down_ids", "up_ids")
 
     def __init__(
         self,
@@ -47,49 +40,36 @@ class ReebGraph:
         criticals: tuple[float, ...],
         edge_sets: tuple[tuple[int, ...], ...],
         vertex_counts: tuple[int, ...],
-        down: tuple[dict[int, int], ...],
-        up: tuple[dict[int, int] | None, ...],
-    ):
-        checked = _checked(criticals, edge_sets, vertex_counts, down, up, _ids_of_map)
-        self._store(universe, criticals, edge_sets, vertex_counts, *checked)
-
-    @classmethod
-    def _of_ids(
-        cls,
-        universe: TaxaSet,
-        criticals: tuple[float, ...],
-        edge_sets: tuple[tuple[int, ...], ...],
-        vertex_counts: tuple[int, ...],
         down_ids: Sequence[tuple[int, ...]],
         up_ids: Sequence[tuple[int, ...] | None],
-    ) -> "ReebGraph":
-        """The graph of the vertex ids aligned with ``edge_sets``, under
-        the constructor's checks, messages and order."""
-        checked = _checked(criticals, edge_sets, vertex_counts, down_ids, up_ids, _ids_as_given)
-        r = object.__new__(cls)
-        r._store(universe, criticals, edge_sets, vertex_counts, *checked)
-        return r
-
-    def _store(self, universe, criticals, edge_sets, vertex_counts, down_ids, up_ids):
+    ):
+        n = len(criticals)
+        if n == 0:
+            raise ValueError("a Reeb graph needs at least one level")
+        if not (len(edge_sets) == len(vertex_counts) == len(down_ids) == len(up_ids) == n):
+            raise ValueError("level-indexed fields disagree in length")
+        if any(criticals[i] >= criticals[i + 1] for i in range(n - 1)):
+            raise ValueError("criticals must be strictly increasing")
+        if len(edge_sets[-1]) != 1:
+            raise ValueError("the top slab must be a single half-infinite edge")
+        for i, (faces, below, above) in enumerate(zip(edge_sets, down_ids, up_ids)):
+            if len(below) != len(faces):
+                raise ValueError(f"down map at level {i} does not cover the edges")
+            if i < n - 1:
+                if above is None or len(above) != len(faces):
+                    raise ValueError(f"up map at level {i} does not cover the edges")
+            elif above is not None:
+                raise ValueError("the top slab has no upper endpoint")
+            if below and (min(below) < 0 or max(below) >= vertex_counts[i]):
+                raise ValueError(f"down map at level {i} out of range")
+            if above and (min(above) < 0 or max(above) >= vertex_counts[i + 1]):
+                raise ValueError(f"up map at level {i} out of range")
         self.universe = universe
         self.criticals = criticals
         self.edge_sets = edge_sets
         self.vertex_counts = vertex_counts
-        self.down_ids = down_ids
-        self.up_ids = up_ids
-        self._down = self._up = None
-
-    @property
-    def down(self) -> tuple[dict[int, int], ...]:
-        if self._down is None:
-            self._down = tuple(map(_face_map, self.edge_sets, self.down_ids))
-        return self._down
-
-    @property
-    def up(self) -> tuple[dict[int, int] | None, ...]:
-        if self._up is None:
-            self._up = tuple(map(_face_map, self.edge_sets, self.up_ids))
-        return self._up
+        self.down_ids = tuple(down_ids)
+        self.up_ids = tuple(up_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReebGraph):
@@ -144,69 +124,6 @@ class ReebGraph:
 
     def is_merge_tree(self) -> bool:
         return self.component_count() == 1 and self.cycle_rank() == 0
-
-    def edge_intervals(self) -> Mergegram:
-        """Lifespans of maximal runs of each face through consecutive slabs."""
-        births: dict[int, float] = {}
-        points: list[tuple[float, float]] = []
-        prev: tuple[int, ...] = ()
-        for t, faces in zip(self.criticals, self.edge_sets):
-            cur = set(faces)
-            for m in prev:
-                if m not in cur:
-                    points.append((births.pop(m), t))
-            for m in faces:
-                births.setdefault(m, t)
-            prev = faces
-        points.extend((b, math.inf) for b in births.values())
-        return Mergegram(points)
-
-
-def _checked(criticals, edge_sets, vertex_counts, down, up, ids):
-    """The down and up ids aligned with ``edge_sets``, checked level by
-    level.  ``ids(given, faces)`` reads the ids of ``faces`` off what a
-    level was given, or is None unless it gives exactly one per face."""
-    n = len(criticals)
-    if n == 0:
-        raise ValueError("a Reeb graph needs at least one level")
-    if not (len(edge_sets) == len(vertex_counts) == len(down) == len(up) == n):
-        raise ValueError("level-indexed fields disagree in length")
-    if any(criticals[i] >= criticals[i + 1] for i in range(n - 1)):
-        raise ValueError("criticals must be strictly increasing")
-    if len(edge_sets[-1]) != 1:
-        raise ValueError("the top slab must be a single half-infinite edge")
-    down_ids: list[tuple[int, ...]] = []
-    up_ids: list[tuple[int, ...] | None] = []
-    for i, faces in enumerate(edge_sets):
-        below = ids(down[i], faces)
-        if below is None:
-            raise ValueError(f"down map at level {i} does not cover the edges")
-        above = None
-        if i < n - 1:
-            above = None if up[i] is None else ids(up[i], faces)
-            if above is None:
-                raise ValueError(f"up map at level {i} does not cover the edges")
-        elif up[i] is not None:
-            raise ValueError("the top slab has no upper endpoint")
-        if below and (min(below) < 0 or max(below) >= vertex_counts[i]):
-            raise ValueError(f"down map at level {i} out of range")
-        if above and (min(above) < 0 or max(above) >= vertex_counts[i + 1]):
-            raise ValueError(f"up map at level {i} out of range")
-        down_ids.append(below)
-        up_ids.append(above)
-    return tuple(down_ids), tuple(up_ids)
-
-
-def _ids_of_map(given: dict[int, int], faces: tuple[int, ...]) -> tuple[int, ...] | None:
-    return tuple(map(given.__getitem__, faces)) if set(given) == set(faces) else None
-
-
-def _ids_as_given(given: tuple[int, ...], faces: tuple[int, ...]) -> tuple[int, ...] | None:
-    return given if len(given) == len(faces) else None
-
-
-def _face_map(faces: tuple[int, ...], ids: tuple[int, ...] | None) -> dict[int, int] | None:
-    return None if ids is None else dict(zip(faces, ids))
 
 
 def _roots(count: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -281,9 +198,7 @@ def face_reeb_graph(g: Gram) -> ReebGraph:
         pairs += len(born) * len(dying)
         prev = cur
     up_ids.append(None)  # the top slab runs to infinity
-    r = ReebGraph._of_ids(
-        g.universe, g.criticals, edge_sets, tuple(vertex_counts), down_ids, up_ids
-    )
+    r = ReebGraph(g.universe, g.criticals, edge_sets, tuple(vertex_counts), down_ids, up_ids)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "stage=reeb levels=%d faces=%d vertices=%d changed=%d pairs=%d ms=%.3f",

@@ -38,7 +38,7 @@ from phylolattice import (
     treegram_from_ultranetwork,
 )
 from phylolattice.faces import bron_kerbosch, canonical_faces, cover_graph
-from phylolattice.newick import NewickError, NewickNode
+from phylolattice.newick import NewickError
 
 
 def enumerate_maximal_cliques(graph: Graph) -> set[int]:
@@ -179,7 +179,10 @@ def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork
     lca = np.zeros((n, n))  # LCA depths above the diagonal, in leaf preorder
     # (node, depth, run starts of its parent's children); node None closes
     # the children whose run starts were collected
-    stack = [(tree.root, 0.0, None)]
+    children: list[list[int]] = [[] for _ in tree.parents]
+    for node in range(1, len(tree.parents)):
+        children[tree.parents[node]].append(node)
+    stack = [(0, 0.0, None)]
     while stack:
         node, depth, starts = stack.pop()
         if node is None:
@@ -189,15 +192,15 @@ def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork
             continue
         if starts is not None:
             starts.append(len(leaves))
-        if node.is_leaf:
-            i = universe.position(node.name)
+        if not children[node]:
+            i = universe.position(tree.names[node])
             depth_of[i] = depth
             leaves.append(i)
             continue
-        children: list[int] = []
-        stack.append((None, depth, children))
-        for ch in reversed(node.children):
-            stack.append((ch, depth + ch.length, children))
+        runs: list[int] = []
+        stack.append((None, depth, runs))
+        for ch in reversed(children[node]):
+            stack.append((ch, depth + tree.lengths[ch], runs))
     m[np.ix_(leaves, leaves)] = lca + lca.T
     height = max(depth_of.values())
     off = ~np.eye(n, dtype=bool)
@@ -210,7 +213,7 @@ def ultranetwork_by_lca_matrix(tree, ultrametrize: bool = False) -> Ultranetwork
 
 # The character-cursor Newick parser, kept as the reference for the token
 # scan of ``phylolattice.newick``: one ``peek`` per structural test, one
-# ``NewickNode`` per node, and lines cut by ``str.splitlines``.
+# linked node per node, and lines cut by ``str.splitlines``.
 
 _STRUCTURE = set("():,;'")
 _TOKEN = re.compile(r"[^():,;' \t]*")  # an unquoted name or a branch length
@@ -218,19 +221,42 @@ _BLANKS = re.compile(r"[ \t]*")
 
 
 @dataclass(frozen=True)
+class _Node:
+    name: str | None
+    length: float  # branch to the parent; 1.0 when the text had none
+    children: tuple["_Node", ...] = ()
+
+
+@dataclass(frozen=True)
 class NodeTree:
-    root: NewickNode
+    """A tree as linked nodes, and flattened to preorder as the scan
+    stores it: ``parents`` (-1 at the root), ``lengths`` and ``names``."""
+
+    root: _Node
     leaf_names: tuple[str, ...] = field(init=False)
+    parents: list[int] = field(init=False)
+    lengths: list[float] = field(init=False)
+    names: list[str | None] = field(init=False)
 
     def __post_init__(self):
-        names: list[str] = []
-        stack = [self.root]
+        parents: list[int] = []
+        lengths: list[float] = []
+        names: list[str | None] = []
+        leaf_names: list[str] = []
+        stack = [(self.root, -1)]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                names.append(node.name)
-            stack.extend(reversed(node.children))
-        object.__setattr__(self, "leaf_names", tuple(names))
+            node, parent = stack.pop()
+            at = len(names)
+            parents.append(parent)
+            lengths.append(node.length)
+            names.append(node.name)
+            if not node.children:
+                leaf_names.append(node.name)
+            stack.extend((ch, at) for ch in reversed(node.children))
+        object.__setattr__(self, "leaf_names", tuple(leaf_names))
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "names", names)
 
 
 class _Cursor:
@@ -304,7 +330,7 @@ def _read_length(c: _Cursor) -> float | None:
     return value
 
 
-def _leaf(c: _Cursor) -> NewickNode:
+def _leaf(c: _Cursor) -> _Node:
     name_col = c.i + 1
     name = _read_name(c)
     length = _read_length(c)
@@ -313,14 +339,14 @@ def _leaf(c: _Cursor) -> NewickNode:
     if name in c.seen_leaves:
         raise c.fail(f"duplicate leaf name {name!r}", name_col)
     c.seen_leaves[name] = name_col
-    return NewickNode(name, 1.0 if length is None else length)
+    return _Node(name, 1.0 if length is None else length)
 
 
-def _subtree(c: _Cursor) -> NewickNode:
+def _subtree(c: _Cursor) -> _Node:
     """One subtree, read with an explicit stack of the open parentheses
     (column, children so far), so that nesting depth is not bounded by the
     interpreter's recursion limit."""
-    stack: list[tuple[int, list[NewickNode]]] = []
+    stack: list[tuple[int, list[_Node]]] = []
     while True:
         while c.peek() == "(":
             stack.append((c.i + 1, []))
@@ -343,7 +369,7 @@ def _subtree(c: _Cursor) -> NewickNode:
             stack.pop()
             name = _read_name(c)
             length = _read_length(c)
-            node = NewickNode(name, 1.0 if length is None else length, tuple(children))
+            node = _Node(name, 1.0 if length is None else length, tuple(children))
         else:
             return node
 
@@ -370,7 +396,7 @@ def parse_newick_by_cursor(text: str) -> list[NodeTree]:
 
 
 def ultranetwork_by_node_walk(tree, ultrametrize: bool = False) -> Ultranetwork:
-    """The dendrogram triple of a tree read off its ``NewickNode``s in one
+    """The dendrogram triple of a tree read off its linked nodes in one
     walk: the leaves in preorder, the depth of each adjacent pair's lowest
     common ancestor, and the leaf depths."""
     universe = TaxaSet(sorted(tree.leaf_names))
@@ -382,7 +408,7 @@ def ultranetwork_by_node_walk(tree, ultrametrize: bool = False) -> Ultranetwork:
     # leaf's lowest ancestor that has a later child: that ancestor is the
     # LCA of the leaf and the next leaf.
     after_leaf = False
-    stack: list[tuple[NewickNode, float, float]] = [(tree.root, 0.0, 0.0)]
+    stack: list[tuple[_Node, float, float]] = [(tree.root, 0.0, 0.0)]
     while stack:
         node, depth, parent_depth = stack.pop()
         if after_leaf:
@@ -730,22 +756,14 @@ def bron_kerbosch_by_recursion(adj, p: int, x: int) -> list[int]:
     return out
 
 
-def clique_levels_by_threshold_graphs(net, merge_tol: float = 0.0):
-    """Cliquegram levels by definition: for every matrix value (after
-    coalescing values within ``merge_tol`` of a cluster minimum and
-    snapping entries to it), a fresh threshold graph of the taxa observed
-    by then and the pairs coalesced by then, and its maximal cliques."""
+def clique_levels_by_threshold_graphs(net):
+    """Cliquegram levels by definition: for every matrix value, a fresh
+    threshold graph of the taxa observed by then and the pairs coalesced
+    by then, and its maximal cliques."""
     universe = net.universe
     matrix = net.matrix
-    values: list[float] = []
-    for v in np.unique(matrix):
-        if not values or v - values[-1] > merge_tol:
-            values.append(float(v))
-    if merge_tol > 0:
-        reps = np.array(values)
-        matrix = reps[np.searchsorted(reps, matrix, side="right") - 1]
     levels: list[tuple[float, FaceSet]] = []
-    for eps in values:
+    for eps in map(float, np.unique(matrix)):
         observed = np.diag(matrix) <= eps
         vertices = sum(1 << int(i) for i in np.nonzero(observed)[0])
         close = (matrix <= eps) & np.outer(observed, observed)
@@ -760,16 +778,13 @@ def clique_levels_by_threshold_graphs(net, merge_tol: float = 0.0):
     return levels
 
 
-def clique_levels_by_full_enumeration(net, merge_tol: float = 0.0):
+def clique_levels_by_full_enumeration(net):
     """Cliquegram levels from one growing threshold graph, with a full
-    Bron-Kerbosch over every vertex at each coalesced value: the sweep as
-    it was before it re-enumerated only the region the new edges reach.
-    The kernel itself is checked against ``bron_kerbosch_by_recursion``."""
+    Bron-Kerbosch over every vertex at each matrix value: the sweep as it
+    was before it re-enumerated only the region the new edges reach.  The
+    kernel itself is checked against ``bron_kerbosch_by_recursion``."""
     n = len(net.universe)
-    values: list[float] = []
-    for v in np.unique(net.matrix):
-        if not values or v - values[-1] > merge_tol:
-            values.append(float(v))
+    values = list(map(float, np.unique(net.matrix)))
     rows, cols = np.triu_indices(n)
     entries = net.matrix[rows, cols]
     order = np.argsort(entries)
@@ -946,9 +961,15 @@ def labeled_mergegram_json_by_dumps(lm) -> str:
     )
 
 
+def _shown(s: str) -> str:
+    """``s`` with each C0 control character and DEL written as \\uXXXX."""
+    return re.sub(r"[\x00-\x1f\x7f]", lambda m: f"\\u{ord(m.group()):04x}", s)
+
+
 def reeb_dot_by_names_of(r) -> str:
     """Reeb DOT text, naming every edge's face with ``names_of``, each name
-    with its backslashes and double quotes escaped as DOT quotes them."""
+    with its control characters shown as \\uXXXX, then its backslashes and
+    double quotes escaped as DOT quotes them."""
     lines = ["graph reeb {", "  rankdir=BT;"]
     for i, t in enumerate(r.criticals):
         for k in range(r.vertex_counts[i]):
@@ -956,13 +977,13 @@ def reeb_dot_by_names_of(r) -> str:
     lines.append('  top [label="inf", shape=plaintext];')
     n = len(r.criticals)
     for i in range(n):
-        for mask in r.edge_sets[i]:
+        for k, mask in enumerate(r.edge_sets[i]):
             name = "{" + ",".join(
-                re.sub(r'(["\\])', r"\\\1", s) for s in r.universe.names_of(mask)
+                re.sub(r'(["\\])', r"\\\1", _shown(s)) for s in r.universe.names_of(mask)
             ) + "}"
-            a = f"v{i}_{r.down[i][mask]}"
+            a = f"v{i}_{r.down_ids[i][k]}"
             if i < n - 1:
-                b = f"v{i + 1}_{r.up[i][mask]}"
+                b = f"v{i + 1}_{r.up_ids[i][k]}"
                 lines.append(f'  {a} -- {b} [label="{name}"];')
             else:
                 lines.append(f'  {a} -- top [label="{name}", style=dashed];')
@@ -1000,12 +1021,26 @@ def reeb_by_pair_scan(g) -> ReebGraph:
         vertex_counts.append(len(roots))
         prev = cur
     n = len(edge_sets)
-    down = tuple({m: comp_maps[i][m] for m in edge_sets[i]} for i in range(n))
-    up = tuple(
+    down = [{m: comp_maps[i][m] for m in edge_sets[i]} for i in range(n)]
+    up = [
         {m: comp_maps[i + 1][m] for m in edge_sets[i]} if i < n - 1 else None
         for i in range(n)
+    ]
+    return _reeb_of_maps(g, edge_sets, vertex_counts, down, up)
+
+
+def _reeb_of_maps(g, edge_sets, vertex_counts, down, up) -> ReebGraph:
+    """The graph of a face-to-vertex map per level, its ids aligned with
+    ``edge_sets``."""
+
+    def aligned(maps):
+        return [
+            None if d is None else tuple(map(d.__getitem__, es)) for d, es in zip(maps, edge_sets)
+        ]
+
+    return ReebGraph(
+        g.universe, g.criticals, edge_sets, tuple(vertex_counts), aligned(down), aligned(up)
     )
-    return ReebGraph(g.universe, g.criticals, edge_sets, tuple(vertex_counts), down, up)
 
 
 def _union_roots(count: int, pairs) -> list[int]:
@@ -1052,20 +1087,18 @@ def reeb_by_changed_pairs(g) -> ReebGraph:
         down.append({m: comp[m] for m in faces})
         prev = cur
     up.append(None)  # the top slab runs to infinity
-    return ReebGraph(
-        g.universe, g.criticals, edge_sets, tuple(vertex_counts), tuple(down), tuple(up)
-    )
+    return _reeb_of_maps(g, edge_sets, vertex_counts, down, up)
 
 
 def component_count_by_union_find(r) -> int:
     """Components of a Reeb graph's finite part: one union-find over every
-    vertex, joining the two ends of every finite edge as the face maps
+    vertex, joining the two ends of every finite edge as the vertex ids
     give them."""
     first = list(itertools.accumulate(r.vertex_counts, initial=0))
     edges = (
-        (first[i] + r.down[i][m], first[i + 1] + r.up[i][m])
+        (first[i] + d, first[i + 1] + u)
         for i in range(len(r.criticals) - 1)
-        for m in r.edge_sets[i]
+        for d, u in zip(r.down_ids[i], r.up_ids[i])
     )
     return len(set(_union_roots(sum(r.vertex_counts), edges)))
 

@@ -40,10 +40,7 @@ from oracles import (
     labeled_mergegram_json_by_dumps,
     reeb_dot_by_names_of,
 )
-from util import random_network, random_ultrametric, taxa
-
-# quotes, backslashes, control characters, non-ASCII and a surrogate pair
-ODD_LABELS = ('say "hi"', "back\\slash", "tab\tnew\nline\x00", "café", "漢字", "\u2028", "🦎")
+from util import ODD_LABELS, random_network, random_ultrametric, taxa
 
 
 def _odd_universe(n):
@@ -502,6 +499,15 @@ class TestReebDot:
             "}\n"
         )
 
+    def test_control_characters_are_shown(self, rng):
+        r = face_reeb_graph(treegram_from_ultranetwork(random_ultrametric(_odd_universe(7), rng)))
+        dot = reeb_dot(r)
+        # a line per vertex and edge and five more: no name breaks a line
+        assert dot.count("\n") == r.vertex_count + r.finite_edge_count + 5
+        assert not re.search(r"[\x00-\x09\x0b-\x1f\x7f]", dot)
+        # DOT shows the backslash of \u0009 that the text escapes
+        assert "tab\\\\u0009new\\\\u000aline\\\\u0000" in dot
+
     def test_debug_line(self, caplog, rng):
         # plain names, so that each line of the text ends at a newline
         grams = [g for g in _grams_of_every_kind(rng) if g.universe == taxa(len(g.universe))]
@@ -540,6 +546,20 @@ class TestSVG:
         plot = line_plot_svg({"x<y": [(0, 0), (1, 1)]}, x_label="k&", y_label='"d"')
         minidom.parseString(plot)
         assert ">x&lt;y<" in plot and ">k&amp;<" in plot and ">&quot;d&quot;<" in plot
+
+    def test_control_characters_are_shown(self):
+        ts = TaxaSet(["a\x00b", "c\x7f", "d\te"])
+        lm = LabeledMergegram(
+            ts, {0b001: Interval(0, 1), 0b010: Interval(0, 2), 0b111: Interval(2, INF)}
+        )
+        svg = diagram_svg(lm, title="t\x1b")
+        texts = [
+            t.firstChild.data
+            for t in minidom.parseString(svg).getElementsByTagName("text")
+            if t.firstChild
+        ]
+        assert "{a\\u0000b}" in texts and "{c\\u007f}" in texts and "t\\u001b" in texts
+        assert "{a\\u0000b,c\\u007f,d\\u0009e}" in texts
 
     def test_diagram_elements(self):
         m = Mergegram([(0, 1, 3), (0.5, INF)])

@@ -639,17 +639,15 @@ class TestCliquegramFromNetwork:
                     assert set(g.level_at(float(eps)).faces) == expect
 
     def test_matches_the_threshold_graph_sweep(self):
-        # integer rounding makes ties and keeps the diagonal bound; a
-        # positive merge_tol snaps nearby values to their cluster minimum
+        # integer rounding makes ties and keeps the diagonal bound
         rng = random.Random(70)
         for _ in range(1200):
             ts = taxa(rng.randint(1, 12))
             net = random_network(ts, rng, late=rng.random() < 0.5)
             if rng.random() < 0.3:
                 net = PhyloNetwork(ts, np.round(net.matrix * 4))
-            tol = rng.choice((0.0, 0.0, 0.05, 0.15))
-            expect = clique_levels_by_threshold_graphs(net, tol)
-            assert cliquegram_from_network(net, tol).levels == tuple(expect)
+            expect = clique_levels_by_threshold_graphs(net)
+            assert cliquegram_from_network(net).levels == tuple(expect)
 
     def test_matches_the_full_enumeration(self):
         # ties from integer rounding put many edges in one value, late
@@ -660,12 +658,11 @@ class TestCliquegramFromNetwork:
             net = random_network(ts, rng, late=rng.random() < 0.5)
             if rng.random() < 0.4:
                 net = PhyloNetwork(ts, np.round(net.matrix * rng.choice((2, 4, 8))))
-            tol = rng.choice((0.0, 0.0, 0.05, 0.15))
-            expect = clique_levels_by_full_enumeration(net, tol)
-            g = cliquegram_from_network(net, tol)
+            expect = clique_levels_by_full_enumeration(net)
+            g = cliquegram_from_network(net)
             assert g.levels == tuple(expect)
             assert g.lifespans == Gram(ts, expect, "cliquegram").lifespans
-            assert expect == clique_levels_by_threshold_graphs(net, tol)
+            assert expect == clique_levels_by_threshold_graphs(net)
 
     def test_searches_only_the_region_of_the_new_edges(self, monkeypatch):
         # taxa a-d observed at 0 and e at 2.5; ab and bc at 1, cd at 2,
@@ -684,7 +681,7 @@ class TestCliquegramFromNetwork:
             return enumerate_cliques(adj, p, x)
 
         monkeypatch.setattr(grams, "bron_kerbosch", searching)
-        levels, enumerated = grams._clique_levels(net, 0.0)
+        levels, enumerated = grams._clique_levels(net)
         # the sweep hands its levels over as mask lists
         levels = [(t, FaceSet(ts, masks)) for t, masks in levels]
         assert levels == clique_levels_by_full_enumeration(net)
@@ -764,18 +761,6 @@ class TestCliquegramFromNetwork:
             cliquegram_from_network(random_network(taxa(5), rng, late=True))
         assert not [r for r in caplog.records if r.name == "phylolattice.grams"]
 
-    def test_merge_tol_snaps_to_cluster_minimum(self):
-        ts = taxa(2)
-        net = PhyloNetwork(ts, [[0.0, 1.05], [1.05, 0.0]])
-        g = cliquegram_from_network(net, merge_tol=0.1)
-        # 1.05 is within tol of no earlier representative except itself,
-        # so only a second value within tol actually moves
-        net2 = PhyloNetwork(taxa(3), [[0, 1.0, 2.0], [1.0, 0, 1.05], [2.0, 1.05, 0]])
-        g2 = cliquegram_from_network(net2, merge_tol=0.1)
-        assert 1.05 not in g2.criticals
-        assert g2.level_at(1.0) == fs(taxa(3), "ab", "bc")
-        assert g.criticals == (0.0, 1.05)
-
 
 class TestTreegram:
     def test_from_ultranetwork(self, rng):
@@ -802,6 +787,34 @@ class TestTreegram:
             g = treegram_from_ultranetwork(u)
             assert g == cliquegram_from_network(u)
             assert g.lifespans == cliquegram_from_network(u).lifespans
+
+    @staticmethod
+    def _tree(ts, rng, k):
+        """A seeded ultranetwork: late observation on odd k; on every third
+        k, ties and 0.0 joins from integer rounding, and a diagonal of -0.0
+        when no taxon is late."""
+        u = random_ultrametric(ts, rng, late=k % 2 == 1)
+        if k % 3:
+            return u
+        m = np.round(u.matrix * 3)
+        if k % 2 == 0:
+            np.fill_diagonal(m, -0.0)
+        return Ultranetwork(ts, m)
+
+    def test_network_of_the_treegram_is_the_ultranetwork(self):
+        # by value: a -0.0 diagonal and a 0.0 join share one critical value
+        rng = random.Random(74)
+        for k in range(300):
+            u = self._tree(taxa(1 + k % 10), rng, k)
+            assert network_from_cliquegram(treegram_from_ultranetwork(u)) == u
+
+    def test_cliquegram_join_is_the_cliquegram_of_the_network_join(self):
+        rng = random.Random(75)
+        for k in range(200):
+            ts = taxa(1 + k % 8)
+            ultras = [self._tree(ts, rng, k + i) for i in range(1 + k % 4)]
+            got = join_grams([treegram_from_ultranetwork(u) for u in ultras], "cliquegram")
+            assert got == cliquegram_from_network(network_join(ultras))
 
     def test_debug_line(self, caplog):
         u = Ultranetwork(taxa(3), [[0, 1, 3], [1, 0, 3], [3, 3, 0.5]])

@@ -21,7 +21,14 @@ from oracles import (
     parse_newick_by_cursor,
     ultranetwork_by_node_walk,
 )
-from util import caterpillar_newick, random_names, random_newick, random_ultrametric, taxa
+from util import (
+    ODD_LABELS,
+    caterpillar_newick,
+    random_names,
+    random_newick,
+    random_ultrametric,
+    taxa,
+)
 
 
 def one(text):
@@ -72,8 +79,8 @@ class TestParsing:
 
     def test_inner_node_names_are_allowed(self):
         t = one("((x:1,y:1)anc:1,z:2)root;")
-        assert t.root.name == "root"
-        assert t.root.children[0].name == "anc"
+        assert t.names == ["root", "anc", "x", "y", "z"]
+        assert t.parents == [-1, 0, 1, 1, 0]
 
     def test_trees_compare_by_value(self):
         text = "((a:1,b)r:2,'c d');"
@@ -194,12 +201,7 @@ class TestLogging:
 
 def preorder(tree):
     """(name, length) of every node of a parsed tree, in preorder."""
-    out, stack = [], [tree.root]
-    while stack:
-        node = stack.pop()
-        out.append((node.name, node.length))
-        stack.extend(reversed(node.children))
-    return out
+    return list(zip(tree.names, tree.lengths))
 
 
 # Every delimiter that can end an unquoted name or a branch length token:
@@ -374,6 +376,24 @@ class TestWriter:
         assert back.universe == ts
         assert np.array_equal(back.matrix, u.matrix)
 
+    def test_odd_names_round_trip(self):
+        # the reader's universe is the sorted names
+        names = [s for s in ODD_LABELS if "\n" not in s] + ["nul\x00", "vt\x0bab"]
+        ts = TaxaSet(sorted(names))
+        rng = random.Random(26)
+        for _ in range(50):
+            u = random_ultrametric(ts, rng)
+            back = ultranetwork_from_newick(parse_newick(newick_from_ultranetwork(u))[0])
+            assert back.universe == ts
+            assert np.array_equal(back.matrix, u.matrix)
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\n", "\n"])
+    def test_line_breaks_in_names_are_refused(self, name):
+        u = Ultranetwork(TaxaSet([name, "c d", "e"]), [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        with pytest.raises(ValueError) as err:
+            newick_from_ultranetwork(u)
+        assert str(err.value) == f"taxon {name!r} holds a line break, which ends a Newick tree"
+
 
 # The equivalence texts are ASCII and leave out '_' and every line
 # separator but '\n', '\r\n' and '\r': the cursor parser keeps float()'s
@@ -436,12 +456,17 @@ def _malformed(rng, text):
     return text[:a] + text[a : a + 1] * rng.randrange(0, 3, 2) + text[a + 1 :]
 
 
+def _arrays(tree):
+    """A tree as the scan stores it, flattened to preorder."""
+    return tree.parents, tree.lengths, tree.names
+
+
 def _outcome(parse, text):
     try:
         trees = parse(text)
     except NewickError as e:
         return type(e), str(e), e.line, e.col
-    return [t.root for t in trees]
+    return list(map(_arrays, trees))
 
 
 class TestScanEqualsTheCursorParser:
@@ -455,7 +480,7 @@ class TestScanEqualsTheCursorParser:
             (tree,) = parse_newick(text)
             (ref,) = parse_newick_by_cursor(text)
             assert tree.leaf_names == ref.leaf_names
-            assert tree.root == ref.root, text
+            assert _arrays(tree) == _arrays(ref), text
             ultrametrize = k % 2 == 0
             u = ultranetwork_from_newick(tree, ultrametrize=ultrametrize)
             r = ultranetwork_by_node_walk(ref, ultrametrize=ultrametrize)

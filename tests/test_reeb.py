@@ -5,7 +5,6 @@ from phylolattice import (
     cliquegram_from_network,
     face_reeb_graph,
     labeled_mergegram,
-    mergegram,
     treegram_from_ultranetwork,
 )
 
@@ -63,23 +62,15 @@ class TestFaceReeb:
         r = face_reeb_graph(g)
         # below the first slab the two pairs are incomparable: two vertices
         assert r.vertex_counts == (2, 1)
-        assert r.down[0][ts.mask_of("ab")] != r.down[0][ts.mask_of("cd")]
-        assert r.up[0][ts.mask_of("ab")] == r.up[0][ts.mask_of("cd")]
+        assert r.edge_sets[0] == (ts.mask_of("ab"), ts.mask_of("cd"))
+        assert r.down_ids[0] == (0, 1) and r.up_ids[0] == (0, 0)
         assert r.cycle_rank() == 0
 
     def test_top_slab_half_infinite(self, rng):
         g = cliquegram_from_network(random_network(taxa(4), rng))
         r = face_reeb_graph(g)
         assert r.edge_sets[-1] == (g.universe.full_mask,)
-        assert r.up[-1] is None
-
-    def test_edge_intervals_match_mergegram(self, rng):
-        for n in (3, 5, 7):
-            ts = taxa(n)
-            for _ in range(10):
-                g = cliquegram_from_network(random_network(ts, rng, late=True))
-                r = face_reeb_graph(g)
-                assert r.edge_intervals() == mergegram(g)
+        assert r.up_ids[-1] is None
 
     def test_realized_graph_is_connected(self, rng):
         for _ in range(10):
@@ -95,8 +86,8 @@ class TestReebValidation:
             criticals=(0.0,),
             edge_sets=((0b1,),),
             vertex_counts=(1,),
-            down=({0b1: 0},),
-            up=(None,),
+            down_ids=((0,),),
+            up_ids=(None,),
         )
 
     def test_minimal_graph(self):
@@ -107,7 +98,7 @@ class TestReebValidation:
 
     def test_needs_levels(self):
         a = self.ok_args()
-        a.update(criticals=(), edge_sets=(), vertex_counts=(), down=(), up=())
+        a.update(criticals=(), edge_sets=(), vertex_counts=(), down_ids=(), up_ids=())
         with pytest.raises(ValueError, match="at least one level"):
             ReebGraph(**a)
 
@@ -120,50 +111,32 @@ class TestReebValidation:
     def test_top_slab_is_single_edge(self):
         a = self.ok_args()
         ts = taxa(2)
-        a.update(universe=ts, edge_sets=((0b01, 0b10),), down=({0b01: 0, 0b10: 0},))
+        a.update(universe=ts, edge_sets=((0b01, 0b10),), down_ids=((0, 0),))
         with pytest.raises(ValueError, match="single half-infinite"):
             ReebGraph(**a)
 
     def test_down_map_covers_edges(self):
         a = self.ok_args()
-        a["down"] = ({},)
+        a["down_ids"] = ((),)
         with pytest.raises(ValueError, match="does not cover"):
             ReebGraph(**a)
 
     def test_down_map_in_range(self):
         a = self.ok_args()
-        a["down"] = ({0b1: 5},)
+        a["down_ids"] = ((5,),)
         with pytest.raises(ValueError, match="out of range"):
             ReebGraph(**a)
 
     def test_top_up_map_must_be_none(self):
         a = self.ok_args()
-        a["up"] = ({0b1: 0},)
+        a["up_ids"] = ((0,),)
         with pytest.raises(ValueError, match="no upper endpoint"):
             ReebGraph(**a)
 
     def test_criticals_increase(self):
         ts = taxa(1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            ReebGraph(
-                ts,
-                (1.0, 1.0),
-                ((0b1,), (0b1,)),
-                (1, 1),
-                ({0b1: 0}, {0b1: 0}),
-                ({0b1: 0}, None),
-            )
-
-
-def _ids_args(a):
-    """The constructor arguments with the maps as ids aligned with the edges."""
-    b = dict(a)
-    del b["down"], b["up"]
-    b["down_ids"] = tuple(tuple(d[m] for m in es) for d, es in zip(a["down"], a["edge_sets"]))
-    b["up_ids"] = tuple(
-        None if u is None else tuple(u[m] for m in es) for u, es in zip(a["up"], a["edge_sets"])
-    )
-    return b
+            ReebGraph(ts, (1.0, 1.0), ((0b1,), (0b1,)), (1, 1), ((0,), (0,)), ((0,), None))
 
 
 def _two_level_args():
@@ -173,23 +146,21 @@ def _two_level_args():
         criticals=(0.0, 1.0),
         edge_sets=((0b01, 0b10), (0b11,)),
         vertex_counts=(2, 1),
-        down=({0b01: 0, 0b10: 1}, {0b11: 0}),
-        up=({0b01: 0, 0b10: 0}, None),
+        down_ids=((0, 1), (0,)),
+        up_ids=((0, 0), None),
     )
 
 
 class TestAlignedIds:
-    """``ReebGraph._of_ids``, which ``face_reeb_graph`` builds through, keeps
-    the constructor's checks and messages on ids aligned with the edges."""
+    """The constructor, which ``face_reeb_graph`` builds through, checks
+    the vertex ids aligned with the edges, level by level."""
 
-    def test_same_graph_as_the_maps(self):
-        a = _two_level_args()
-        r = ReebGraph._of_ids(**_ids_args(a))
-        assert r == ReebGraph(**a)
+    def test_same_graph_as_the_face_reeb_graph(self):
+        ts = taxa(2)
+        g = gram_of(ts, [(0.0, [["a"], ["b"]]), (1.0, [["a", "b"]])])
+        r = ReebGraph(**_two_level_args())
+        assert r == face_reeb_graph(g)
         assert r.down_ids == ((0, 1), (0,)) and r.up_ids == ((0, 0), None)
-        assert r._down is None and r._up is None
-        assert r.down == a["down"] and r.up == a["up"]
-        assert r.down is r.down  # built once
 
     @pytest.mark.parametrize(
         "change, message",
@@ -211,10 +182,10 @@ class TestAlignedIds:
         ],
     )
     def test_refusals(self, change, message):
-        b = _ids_args(_two_level_args())
+        b = _two_level_args()
         b.update(change)
         with pytest.raises(ValueError) as err:
-            ReebGraph._of_ids(**b)
+            ReebGraph(**b)
         assert str(err.value) == message
 
 
@@ -227,9 +198,9 @@ def _random_leveled_graph(rng):
         tuple(rng.sample(range(1, 15), rng.randint(0, 5))) for _ in range(n - 1)
     ) + ((0b1111,),)
     counts = tuple(rng.randint(1, 4) for _ in range(n))
-    down = tuple({m: rng.randrange(counts[i]) for m in es} for i, es in enumerate(edge_sets))
+    down = tuple(tuple(rng.randrange(counts[i]) for _ in es) for i, es in enumerate(edge_sets))
     up = tuple(
-        {m: rng.randrange(counts[i + 1]) for m in es} if i < n - 1 else None
+        tuple(rng.randrange(counts[i + 1]) for _ in es) if i < n - 1 else None
         for i, es in enumerate(edge_sets)
     )
     return ReebGraph(ts, tuple(map(float, range(n))), edge_sets, counts, down, up)

@@ -236,14 +236,6 @@ def test_the_scan_sees_the_oracles_matrix_reads():
     assert _matrix_reads(fn)
 
 
-def _root_reads(fn: ast.FunctionDef):
-    return [
-        f"{fn.name}:{node.lineno} .root"
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute) and node.attr == "root"
-    ]
-
-
 # the character-cursor parser's names, which only its oracle may hold
 _CURSOR_NAMES = {"_Cursor", "peek"}
 
@@ -259,18 +251,13 @@ def _cursor_names(path: Path):
     ]
 
 
-def test_the_tree_reader_reads_the_arrays_and_no_cursor_is_left():
-    (fn,) = _functions(PACKAGE / "newick.py", ("ultranetwork_from_newick",))
-    assert not _root_reads(fn)
+def test_no_cursor_is_left_in_the_library():
     found = [hit for path in sorted(PACKAGE.rglob("*.py")) for hit in _cursor_names(path)]
     assert not found, f"cursor parser names in the library: {found}"
 
 
-def test_the_guards_see_the_oracles_root_reads_and_cursor():
-    oracles = ROOT / "tests" / "oracles.py"
-    (fn,) = _functions(oracles, ("ultranetwork_by_node_walk",))
-    assert _root_reads(fn)
-    assert _cursor_names(oracles)
+def test_the_guard_sees_the_oracles_cursor():
+    assert _cursor_names(ROOT / "tests" / "oracles.py")
 
 
 def caterpillar_family(rng: random.Random, names, trees: int) -> str:

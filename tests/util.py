@@ -17,6 +17,9 @@ from phylolattice import (
 
 ABC = "abcdefghijklmnop"
 
+# quotes, backslashes, control characters, non-ASCII and a surrogate pair
+ODD_LABELS = ('say "hi"', "back\\slash", "tab\tnew\nline\x00", "café", "漢字", "\u2028", "🦎")
+
 
 def taxa(n: int) -> TaxaSet:
     return TaxaSet(ABC[:n])
