@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .taxa import TaxaSet, bits
 
@@ -432,46 +432,74 @@ def _next_union(union: int, born: Iterable[int], dying: Iterable[int]) -> int | 
 
 
 class _AntichainSweep:
-    """Proves the levels of a gram antichains one level at a time.
+    """Proves the levels of a gram antichains one level at a time, from the
+    faces each level changes.
 
     The previous level is an antichain by induction, so two faces of the
     next level can only be comparable when one of them is born there.  The
-    level is an antichain iff it lists no face twice, its born faces are
-    non-empty masks over the universe, and no born face contains, or lies
-    in, another face of the level: born × level comparisons, not the
-    level's own pairs.  While the levels are pairwise disjoint, the union
-    of the previous level settles a level from its born and dying faces
-    alone.  A level the sweep cannot prove goes through ``FaceSet``, which
+    level is an antichain iff no born face is already alive or born twice
+    (either lists a face twice), its born faces are non-empty masks over
+    the universe, and no born face contains, or lies in, another face of
+    the level: born × level comparisons, not the level's own pairs.  While
+    the levels are pairwise disjoint, the union of the previous level
+    settles a level from its born and dying faces alone.  Only a level the
+    sweep cannot prove is listed, and it goes through ``FaceSet``, which
     raises that level's own error, so the messages are ``FaceSet``'s.
     """
 
-    __slots__ = ("universe", "prev", "union", "compared")
+    __slots__ = ("universe", "alive", "union", "compared")
 
     def __init__(self, universe: TaxaSet):
         self.universe = universe
-        self.prev: set[int] = set()  # the previous level
-        self.union: int | None = 0  # its union while it is pairwise disjoint
+        self.alive: set[int] = set()  # the faces of the previous level
+        self.union: int | None = 0  # their union while they are pairwise disjoint
         self.compared = 0  # face pairs compared
 
-    def step(self, masks: Sequence[int]) -> tuple[set[int], set[int]]:
-        """The born and dying faces of the next level, listed by ``masks``;
-        raises the level's ``FaceSet`` error when it is no antichain."""
-        prev = self.prev
-        cur = set(masks)
-        born, dying = cur - prev, prev - cur
+    def step(
+        self, born: Collection[int], dying: Collection[int]
+    ) -> tuple[Collection[int], Collection[int]]:
+        """The born and dying faces of the next level, once it is proved an
+        antichain; raises the level's ``FaceSet`` error when it is none."""
+        alive = self.alive
+        if not alive.issuperset(dying):
+            raise RuntimeError("a dying face was not alive")
+        alive.difference_update(dying)
+        if not alive.isdisjoint(born) or len(set(born)) < len(born):
+            # a born face already alive, or born twice, is listed twice
+            FaceSet(self.universe, [*alive, *born])  # raises the level's own error
+        alive.update(born)
+        return self._proved(born, dying)
+
+    def step_level(self, masks: Sequence[int]) -> tuple[Collection[int], Collection[int]]:
+        """The level adapter: the born and dying faces of the next level,
+        listed by ``masks``, proved as ``step`` proves them.  A face of the
+        previous level listed twice is born a second time, so ``step``
+        reports it."""
+        alive = self.alive
+        listed = set(masks)
+        if len(listed) < len(masks):
+            born = list(masks)
+            for m in listed & alive:
+                born.remove(m)
+            return self.step(born, alive - listed)
+        self.alive = listed
+        return self._proved(listed - alive, alive - listed)
+
+    def _proved(
+        self, born: Collection[int], dying: Collection[int]
+    ) -> tuple[Collection[int], Collection[int]]:
+        """``born`` and ``dying`` once the level, now ``alive`` and listing
+        no face twice, is proved an antichain."""
+        alive = self.alive
         full = self.universe.full_mask
-        proved = len(cur) == len(masks) and all(
-            type(m) is int and 0 < m <= full for m in born
-        )
         union = self.union
-        if proved:
-            union = _disjoint_union(cur) if union is None else _next_union(union, born, dying)
-            if union is None:
-                proved = self._incomparable(born, cur)
-        if not proved:
-            FaceSet(self.universe, masks)  # raises the level's own error
-            union = _disjoint_union(cur)
-        self.prev, self.union = cur, union
+        if all(type(m) is int and 0 < m <= full for m in born):
+            union = _disjoint_union(alive) if union is None else _next_union(union, born, dying)
+            if union is not None or self._incomparable(born, alive):
+                self.union = union
+                return born, dying
+        FaceSet(self.universe, alive)  # raises the level's own error
+        self.union = _disjoint_union(alive)
         return born, dying
 
     def _incomparable(self, born: Iterable[int], level: set[int]) -> bool:

@@ -274,7 +274,7 @@ def parse_gram_json(text: str) -> Gram:
             raise ValueError(f"level {i}: critical values must be strictly increasing")
         try:
             level = [mask_of(names) for names in item["faces"]]
-            born, dying = sweep.step(level)
+            born, dying = sweep.step_level(level)
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"level {i}: {e.args[0]}") from e
         entries += len(level)

@@ -62,11 +62,13 @@ class Gram:
     neither the kind nor an explicit empty first level counts.
 
     ``Gram(universe, [(t, FaceSet)], kind)`` takes validated face-sets.
-    The library's builders hand their levels over as mask lists instead,
-    and one sweep proves each an antichain from the faces it changes
-    (``_of_masks``).  Either way ``levels``, the face-set at each critical
-    value, is a view: kept when the levels were given, otherwise built on
-    first read.
+    The library's builders hand their levels over as (t, born, dying)
+    events instead, and one sweep (``_AntichainSweep``) proves each level
+    an antichain from the faces it changes.  Face-set levels, and the JSON
+    parser's face lists, become events in the sweep's level adapter, the
+    one place a level list is diffed.  Either way ``levels``, the face-set
+    at each critical value, is a view: kept when the levels were given,
+    otherwise built on first read.
     """
 
     __slots__ = ("universe", "kind", "criticals", "lifespans", "_levels")
@@ -78,26 +80,11 @@ class Gram:
         kind: str = "facegram",
     ):
         lv = _leveled(kind, levels)
-        self._record(universe, kind, _faceset_events(universe, lv))
-        self._levels = lv
-
-    @classmethod
-    def _of_masks(
-        cls,
-        universe: TaxaSet,
-        levels: Iterable[tuple[float, Sequence[int]]],
-        kind: str = "facegram",
-    ) -> "Gram":
-        """The gram whose levels are the face-sets of the mask lists.
-
-        Every level is proved an antichain before any other check, so the
-        errors and their order are those of a ``FaceSet`` per level handed
-        to the constructor.
-        """
         sweep = _AntichainSweep(universe)
-        return cls._of_events(
-            universe, [(t, *sweep.step(masks)) for t, masks in levels], kind
+        self._record(
+            universe, kind, ((t, *sweep.step_level(_faces_over(universe, fs))) for t, fs in lv)
         )
+        self._levels = lv
 
     @classmethod
     def _of_events(
@@ -206,6 +193,8 @@ class Gram:
 
     def level_at(self, t: float) -> FaceSet:
         """Face-set at time ``t``; empty below the first critical value."""
+        if math.isnan(t):
+            raise ValueError(f"no level at t={t!r}")
         i = bisect.bisect_right(self.criticals, t) - 1
         if i < 0:
             return FaceSet(self.universe, ())
@@ -236,16 +225,18 @@ def _leveled(kind: str, levels: Iterable[tuple]) -> tuple[tuple, ...]:
     return lv
 
 
-def _faceset_events(universe: TaxaSet, levels: Iterable[tuple[float, FaceSet]]):
-    """(t, born, dying) of face-set levels, each checked to be a face-set
-    over ``universe`` when it is reached."""
-    prev: frozenset[int] = frozenset()
-    for t, fs in levels:
-        if not isinstance(fs, FaceSet) or fs.universe != universe:
-            raise ValueError("levels must be face-sets over the gram universe")
-        cur = frozenset(fs.faces)
-        yield t, [m for m in fs.faces if m not in prev], prev - cur
-        prev = cur
+def _faces_over(universe: TaxaSet, fs: FaceSet) -> tuple[int, ...]:
+    """The faces of a level, which must be a face-set over ``universe``."""
+    if not isinstance(fs, FaceSet) or fs.universe != universe:
+        raise ValueError("levels must be face-sets over the gram universe")
+    return fs.faces
+
+
+def _proved_gram(sweep: _AntichainSweep, events, kind: str) -> Gram:
+    """The gram of a builder's (t, born, dying) events, every level proved
+    an antichain by ``sweep`` before any other check."""
+    proved = [(t, *sweep.step(born, dying)) for t, born, dying in events]
+    return Gram._of_events(sweep.universe, proved, kind)
 
 
 def _first_non_subpartition(events) -> float | None:
@@ -280,10 +271,10 @@ def gram_leq(a: Gram, b: Gram) -> bool:
     return all(covering.value(m) <= iv.birth for m, iv in a.lifespans.items())
 
 
-def _clique_levels(net: PhyloNetwork) -> tuple[list[tuple[float, list[int]]], int]:
-    """Sweep the sub-level graphs of ``net``: the face masks of one level
-    per matrix value, and the number of cliques the region searches
-    listed.
+def _clique_events(net: PhyloNetwork) -> tuple[list[tuple[float, set[int], set[int]]], int]:
+    """Sweep the sub-level graphs of ``net``: the (t, born, dying) cliques
+    of one level per matrix value, and the number of cliques the region
+    searches listed.
 
     One threshold graph grows through the upper triangle in sorted order,
     a value's entries being those from it up to the next value: a diagonal
@@ -298,10 +289,12 @@ def _clique_levels(net: PhyloNetwork) -> tuple[list[tuple[float, list[int]]], in
     through a new edge (i, j) lies in ``{i, j} | (adj[i] & adj[j])``; call
     the union of these over the value's new edges R.  A clique C with a
     vertex outside R is still maximal: a vertex w extending C would make
-    some edge (w, c) new, and then C | {w} would lie in R.  So the cliques
-    inside R are dropped, and one Bron-Kerbosch lists the maximal cliques
-    of the new graph that lie inside R, every vertex outside R excluded.
-    R stops growing once it holds every vertex.
+    some edge (w, c) new, and then C | {w} would lie in R.  So one
+    Bron-Kerbosch lists the maximal cliques of the new graph that lie
+    inside R, every vertex outside R excluded.  The cliques born are
+    those found and the new singletons outside R, less the old cliques
+    inside R; the old cliques inside R that are not found again die.  R
+    stops growing once it holds every vertex.
     """
     n = len(net.universe)
     values = np.unique(net.matrix).tolist()
@@ -312,18 +305,19 @@ def _clique_levels(net: PhyloNetwork) -> tuple[list[tuple[float, list[int]]], in
     rows, cols = rows[order].tolist(), cols[order].tolist()
     adj = [0] * n
     vertices = 0
-    cliques: set[int] = set()
-    levels: list[tuple[float, list[int]]] = []
+    cliques: set[int] = set()  # the maximal cliques of the previous level
+    events: list[tuple[float, set[int], set[int]]] = []
     enumerated = 0
     start = 0
     for eps, end in zip(values, ends):
         batch = range(start, end)
         start = end
+        born: set[int] = set()
         for k in batch:
             i, j = rows[k], cols[k]
             if i == j:
                 vertices |= 1 << i
-                cliques.add(1 << i)
+                born.add(1 << i)
             else:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
@@ -334,13 +328,17 @@ def _clique_levels(net: PhyloNetwork) -> tuple[list[tuple[float, list[int]]], in
                 region |= (1 << i) | (1 << j) | (adj[i] & adj[j])
                 if region == vertices:
                     break
+        dying: set[int] = set()
         if region:
             found = bron_kerbosch(adj, region, vertices & ~region)
             enumerated += len(found)
-            cliques = {c for c in cliques if c & ~region}
-            cliques.update(found)
-        levels.append((eps, list(cliques)))
-    return levels, enumerated
+            inside = {c for c in cliques if not c & ~region}
+            born = {m for m in born if m & ~region}.union(found) - inside
+            dying = inside.difference(found)
+            cliques -= dying
+        cliques |= born
+        events.append((eps, born, dying))
+    return events, enumerated
 
 
 def cliquegram_from_network(net: PhyloNetwork) -> Gram:
@@ -349,16 +347,22 @@ def cliquegram_from_network(net: PhyloNetwork) -> Gram:
     At threshold eps the graph keeps taxa observed by eps and joins pairs
     that have coalesced by eps.
     """
+    return _cliquegram(net, _AntichainSweep(net.universe))
+
+
+def _cliquegram(net: PhyloNetwork, sweep: _AntichainSweep) -> Gram:
+    """The cliquegram of ``net``, its levels proved by ``sweep``."""
     t0 = time.perf_counter()
-    levels, enumerated = _clique_levels(net)
-    g = Gram._of_masks(net.universe, levels, "cliquegram")
+    events, enumerated = _clique_events(net)
+    g = _proved_gram(sweep, events, "cliquegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "stage=cliquegram taxa=%d levels=%d faces=%d enumerated=%d ms=%.3f",
+            "stage=cliquegram taxa=%d levels=%d faces=%d enumerated=%d compared=%d ms=%.3f",
             len(net.universe),
             len(g.criticals),
             len(g.lifespans),
             enumerated,
+            sweep.compared,
             (time.perf_counter() - t0) * 1e3,
         )
     return g
@@ -398,16 +402,18 @@ def network_from_cliquegram(g: Gram) -> PhyloNetwork:
     return PhyloNetwork(g.universe, np.array(entries).reshape(n, n))
 
 
-def _tree_levels(u: Ultranetwork) -> list[tuple[float, list[int]]]:
-    """Face masks of the sub-level partitions of an ultranetwork, from its
-    linkage and diagonal.
+def _tree_events(u: Ultranetwork) -> list[tuple[float, list[int], list[int]]]:
+    """(t, born, dying) faces of the sub-level partitions of an
+    ultranetwork, from its linkage and diagonal.
 
     A cluster is a run of the linkage order, and the run that starts at
     position k merges into its left neighbour at ``joins[k - 1]``.  The
     level at t holds every run of two or more taxa (each already observed,
     since an entry bounds both diagonal entries) and the singleton runs of
-    the taxa observed by t.  Every observation and every merge changes the
-    level, so each distinct value is a critical value.
+    the taxa observed by t.  An observation makes its singleton born; a
+    merge kills the two runs it joins and makes their union born.  A run
+    born and killed at one value is neither.  Every observation and every
+    merge changes the level, so each distinct value is a critical value.
     """
     order, joins = u.linkage
     n = len(order)
@@ -415,34 +421,40 @@ def _tree_levels(u: Ultranetwork) -> list[tuple[float, list[int]]]:
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     # at one value, observations (kind 0) go before merges (kind 1)
-    events = sorted(
+    changes = sorted(
         [(float(diag[i]), 0, int(pos[i])) for i in range(n)]
         + [(float(joins[k - 1]), 1, k) for k in range(1, n)]
     )
     end = list(range(1, n + 1))  # run start -> one past its last position
     start = list(range(n))  # last position of a run -> its start
     mask = [1 << int(i) for i in order]  # run start -> face mask
-    visible: dict[int, int] = {}  # run start -> face, for the runs in the level
-    levels: list[tuple[float, list[int]]] = []
-    for e, (t, kind, k) in enumerate(events):
+    events: list[tuple[float, list[int], list[int]]] = []
+    born: set[int] = set()  # the runs born at the current value
+    dying: list[int] = []  # the runs of the previous level killed at it
+    for e, (t, kind, k) in enumerate(changes):
         if kind == 0:  # no merge has reached the taxon yet
-            visible[k] = mask[k]
+            born.add(mask[k])
         else:
             a, b = start[k - 1], end[k]
             end[a], start[b - 1] = b, a
+            for m in (mask[a], mask[k]):
+                if m in born:
+                    born.remove(m)
+                else:
+                    dying.append(m)
             mask[a] |= mask[k]
-            visible.pop(k, None)
-            visible[a] = mask[a]
-        if e + 1 == len(events) or events[e + 1][0] != t:
-            levels.append((t, list(visible.values())))
-    return levels
+            born.add(mask[a])
+        if e + 1 == len(changes) or changes[e + 1][0] != t:
+            events.append((t, list(born), dying))
+            born, dying = set(), []
+    return events
 
 
 def treegram_from_ultranetwork(u: PhyloNetwork) -> Gram:
     """Sub-level partitions of an ultranetwork (levels are equivalence classes)."""
     t0 = time.perf_counter()
     u = as_ultranetwork(u)
-    g = Gram._of_masks(u.universe, _tree_levels(u), "treegram")
+    g = _proved_gram(_AntichainSweep(u.universe), _tree_events(u), "treegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "stage=treegram taxa=%d levels=%d faces=%d ms=%.3f",
@@ -463,7 +475,8 @@ def facegram_from_filtration(f: Filtration) -> Gram:
     enumeration.
     """
     if isinstance(f, VRFiltration):
-        return Gram._of_masks(f.universe, _clique_levels(f.network)[0])
+        events = _clique_events(f.network)[0]
+        return _proved_gram(_AntichainSweep(f.universe), events, "facegram")
     if isinstance(f, PullbackFiltration):
         # preimages keep inclusion both ways, so they keep maximality
         base = facegram_from_filtration(f.base).lifespans.items()
@@ -481,7 +494,12 @@ def facegram_from_filtration(f: Filtration) -> Gram:
 def _facegram_of_births(
     universe: TaxaSet, births: Iterable[tuple[float, int]], kind: str = "facegram"
 ) -> Gram:
-    """The gram whose level at t holds the maximal faces born by t.
+    """The gram whose level at t holds the maximal faces born by t."""
+    return _proved_gram(_AntichainSweep(universe), _birth_events(births), kind)
+
+
+def _birth_events(births: Iterable[tuple[float, int]]):
+    """(t, born, dying) of the levels that hold the maximal faces born by t.
 
     ``births`` are (t, face) pairs, in any order and possibly repeated.
     The level at each distinct t is the maximal faces among the previous
@@ -489,15 +507,15 @@ def _facegram_of_births(
     a born face that it does not cover replaces exactly the faces it
     contains; a t whose faces are all covered already adds no level.
     """
-    levels: list[tuple[float, list[int]]] = []
-    faces: list[int] = []
+    alive: set[int] = set()
     for t, group in groupby(sorted(set(births)), key=lambda e: e[0]):
         new = maximal_masks(m for _, m in group)
-        new = [m for m in new if not any(m | f == f for f in faces)]
-        if new:
-            faces = [f for f in faces if not any(f | m == m for m in new)] + new
-            levels.append((t, faces))
-    return Gram._of_masks(universe, levels, kind)
+        born = [m for m in new if not any(m | f == f for f in alive)]
+        if born:
+            dying = [f for f in alive if any(f | m == m for m in born)]
+            alive.difference_update(dying)
+            alive.update(born)
+            yield t, born, dying
 
 
 def filtration_from_facegram(g: Gram) -> FacegramFiltration:
@@ -524,25 +542,25 @@ def join_grams(parts: Sequence[Gram], mode: str = "facegram") -> Gram:
     for p in parts[1:]:
         if p.universe != universe:
             raise ValueError("grams live over different universes")
+    sweep = _AntichainSweep(universe)
     if mode == "cliquegram":
         for p in parts:
             t = _first_non_clique_set_level(len(universe), p._events())
             if t is not None:
                 raise ValueError(f"cliquegram join requires clique-set levels (t={t!r})")
-        g = cliquegram_from_network(
-            network_join([network_from_cliquegram(p) for p in parts])
-        )
+        g = _cliquegram(network_join([network_from_cliquegram(p) for p in parts]), sweep)
     else:
         births = ((iv.birth, m) for p in parts for m, iv in p.lifespans.items())
-        g = _facegram_of_births(universe, births)
+        g = _proved_gram(sweep, _birth_events(births), "facegram")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "stage=join mode=%s parts=%d events=%d levels=%d faces=%d ms=%.3f",
+            "stage=join mode=%s parts=%d events=%d levels=%d faces=%d compared=%d ms=%.3f",
             mode,
             len(parts),
             sum(len(p.lifespans) for p in parts),
             len(g.criticals),
             len(g.lifespans),
+            sweep.compared,
             (time.perf_counter() - t0) * 1e3,
         )
     return g

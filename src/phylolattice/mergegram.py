@@ -93,14 +93,26 @@ class LabeledMergegram:
     __slots__ = ("universe", "entries")
 
     def __init__(self, universe: TaxaSet, entries: dict[int, Interval]):
+        stored: dict[int, Interval] = {}
         for mask, iv in entries.items():
             universe.check_face(mask)
+            # equal values must be equal floats, so that they write equal text
+            if not (type(iv) is Interval and type(iv.birth) is type(iv.death) is float):
+                try:
+                    birth, death = iv
+                    iv = Interval(float(birth), float(death))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"lifespan of face {universe.names_of(mask)!r} must be a "
+                        f"(birth, death) pair, got {iv!r}"
+                    ) from None
             if not iv.birth < iv.death:
                 raise ValueError(
                     f"degenerate lifespan {iv!r} for face {universe.names_of(mask)!r}"
                 )
+            stored[mask] = iv
         self.universe = universe
-        self.entries = dict(entries)
+        self.entries = stored
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -129,6 +141,8 @@ class LabeledMergegram:
         return Mergegram((iv.birth, iv.death) for iv in self.entries.values())
 
     def alive_at(self, t: float) -> tuple[int, ...]:
+        if math.isnan(t):
+            raise ValueError(f"no faces are alive at t={t!r}")
         return tuple(
             sorted(m for m, iv in self.entries.items() if iv.birth <= t < iv.death)
         )

@@ -806,6 +806,88 @@ def clique_levels_by_full_enumeration(net):
     return levels
 
 
+def clique_levels_by_region_sweep(net):
+    """Cliquegram levels as mask lists from one growing threshold graph,
+    re-enumerating at each matrix value only the region R its new edges
+    reach, with the whole clique list rebuilt at every value: the sweep as
+    it was before it handed over born and dying cliques."""
+    n = len(net.universe)
+    values = np.unique(net.matrix).tolist()
+    rows, cols = np.triu_indices(n)
+    entries = net.matrix[rows, cols]
+    order = np.argsort(entries)
+    ends = np.searchsorted(entries[order], values[1:]).tolist() + [len(order)]
+    rows, cols = rows[order].tolist(), cols[order].tolist()
+    adj = [0] * n
+    vertices = 0
+    cliques: set[int] = set()
+    levels: list[tuple[float, list[int]]] = []
+    start = 0
+    for eps, end in zip(values, ends):
+        batch = list(zip(rows[start:end], cols[start:end]))
+        start = end
+        for i, j in batch:
+            if i == j:
+                vertices |= 1 << i
+                cliques.add(1 << i)
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        region = 0
+        for i, j in batch:
+            if i != j:
+                region |= (1 << i) | (1 << j) | (adj[i] & adj[j])
+        if region:
+            cliques = {c for c in cliques if c & ~region}
+            cliques.update(bron_kerbosch(adj, region, vertices & ~region))
+        levels.append((eps, list(cliques)))
+    return levels
+
+
+def tree_levels_by_runs(u):
+    """Treegram levels as mask lists, every level listed whole: the runs
+    of the linkage order that have merged by t, and the singleton runs of
+    the taxa observed by t."""
+    order, joins = u.linkage
+    n = len(order)
+    pos = {int(i): p for p, i in enumerate(order)}
+    changes = sorted(
+        [(float(u.diagonal[i]), 0, pos[i]) for i in range(n)]
+        + [(float(joins[k - 1]), 1, k) for k in range(1, n)]
+    )
+    end = list(range(1, n + 1))  # run start -> one past its last position
+    start = list(range(n))  # last position of a run -> its start
+    mask = [1 << int(i) for i in order]  # run start -> face mask
+    visible: dict[int, int] = {}  # run start -> face, for the runs in the level
+    levels: list[tuple[float, list[int]]] = []
+    for e, (t, kind, k) in enumerate(changes):
+        if kind == 0:
+            visible[k] = mask[k]
+        else:
+            a, b = start[k - 1], end[k]
+            end[a], start[b - 1] = b, a
+            mask[a] |= mask[k]
+            visible.pop(k, None)
+            visible[a] = mask[a]
+        if e + 1 == len(changes) or changes[e + 1][0] != t:
+            levels.append((t, list(visible.values())))
+    return levels
+
+
+def levels_of_births(births):
+    """Mask-list levels of the maximal faces born by t, at every distinct
+    t of the (t, face) pairs that changes them, each level listed whole."""
+    levels: list[tuple[float, list[int]]] = []
+    faces: list[int] = []
+    for t, group in itertools.groupby(sorted(set(births)), key=lambda e: e[0]):
+        new = maximal_masks(m for _, m in group)
+        new = [m for m in new if not any(m | f == f for f in faces)]
+        if new:
+            faces = [f for f in faces if not any(f | m == m for m in new)] + new
+            levels.append((t, faces))
+    return levels
+
+
 def network_by_block_writes(g) -> PhyloNetwork:
     """First joint-cover times: each face's birth written over its whole
     block, latest birth first, so the earliest cover of a pair is written

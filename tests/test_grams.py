@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,12 +36,15 @@ from phylolattice import (
     parse_gram_json,
     labeled_mergegram,
     maximal_masks,
+    parse_newick,
+    ultranetwork_from_newick,
 )
 
 from oracles import (
     check_gram_by_covers,
     clique_join_by_levels,
     clique_levels_by_full_enumeration,
+    clique_levels_by_region_sweep,
     clique_levels_by_threshold_graphs,
     enumerate_maximal_cliques,
     facegram_join_by_levels,
@@ -49,12 +53,16 @@ from oracles import (
     gram_by_faceset_levels,
     gram_json_by_dumps,
     gram_leq_by_levels,
+    levels_of_births,
     network_by_block_writes,
     squash_by_levels,
+    tree_levels_by_runs,
 )
 from util import (
     gram_of,
+    random_names,
     random_network,
+    random_newick,
     random_ultrametric,
     taxa,
     with_empty_first_level,
@@ -139,6 +147,14 @@ def test_level_at_and_criticals():
     assert g.level_at(3.0) == fs(ts, "ab")
     assert g.level_at(100.0) == fs(ts, "ab")
     assert set(g.all_faces()) == {0b01, 0b10, 0b11}
+
+
+def test_level_at_refuses_nan():
+    g = gram_of(taxa(2), [(1.0, [["a"], ["b"]]), (3.0, [["a", "b"]])])
+    with pytest.raises(ValueError, match=r"t=nan"):
+        g.level_at(math.nan)
+    assert g.level_at(-math.inf).is_empty
+    assert g.level_at(math.inf) == fs(g.universe, "ab")
 
 
 def test_gram_leq():
@@ -368,11 +384,100 @@ def _gram_document(ts, levels, kind):
     )
 
 
+def _by_level_adapter(ts, levels, kind):
+    """The gram of mask-list levels, each turned into events by the
+    sweep's level adapter."""
+    sweep = faces._AntichainSweep(ts)
+    return Gram._of_events(ts, [(t, *sweep.step_level(masks)) for t, masks in levels], kind)
+
+
+def _mask_level_events(levels):
+    """(t, born, dying) of mask-list levels by multiset differences: every
+    listing of a face beyond one that survives from the previous level is
+    a birth, so a face listed twice is born twice or born while alive."""
+    prev = set()
+    for t, masks in levels:
+        listed = Counter(masks)
+        born = listed - Counter(m for m in prev if m in listed)
+        yield t, list(born.elements()), [m for m in prev if m not in listed]
+        prev = set(listed)
+
+
+def _by_step(ts, levels, kind):
+    """The gram of mask-list levels handed to the sweep's ``step`` as events."""
+    sweep = faces._AntichainSweep(ts)
+    events = [(t, *sweep.step(born, dying)) for t, born, dying in _mask_level_events(levels)]
+    return Gram._of_events(ts, events, kind)
+
+
+def _assert_same_gram(g, levels, kind):
+    """``g`` is the gram of the mask-list ``levels`` by a ``FaceSet`` per
+    level: the same kind, critical values and lifespans."""
+    ref = gram_by_faceset_levels(g.universe, levels, kind)
+    assert (g.kind, g.criticals, g.lifespans) == (ref.kind, ref.criticals, ref.lifespans)
+
+
+class TestBuildersMatchTheLevelLists:
+    """Each builder hands over (t, born, dying) events; its gram is the
+    gram of the whole level lists that its reference in ``oracles``
+    builds."""
+
+    def test_tree_sweep(self):
+        # Newick trees with multifurcations, tied and zero lengths and
+        # leaves at different depths; single-linkage trees with late
+        # observation, and ties from integer rounding
+        rng = random.Random(2601)
+        for k in range(1200):
+            if k % 2:
+                (tree,) = parse_newick(random_newick(rng, random_names(rng, 1 + k % 13)))
+                u = ultranetwork_from_newick(tree)
+            else:
+                ts = taxa(1 + k % 14)
+                u = random_ultrametric(ts, rng, late=k % 4 == 0)
+                if k % 3 == 0:
+                    u = Ultranetwork(ts, np.round(u.matrix * 3))
+            _assert_same_gram(treegram_from_ultranetwork(u), tree_levels_by_runs(u), "treegram")
+
+    def test_clique_sweep(self):
+        rng = random.Random(2602)
+        for k in range(1200):
+            ts = taxa(1 + k % 11)
+            net = random_network(ts, rng, late=k % 2 == 1)
+            if k % 3 == 0:
+                net = PhyloNetwork(ts, np.round(net.matrix * rng.choice((2, 4))))
+            levels = clique_levels_by_region_sweep(net)
+            _assert_same_gram(cliquegram_from_network(net), levels, "cliquegram")
+            _assert_same_gram(facegram_from_filtration(VRFiltration(net)), levels, "facegram")
+
+    def test_births_sweep(self):
+        # repeated and tied births, faces covered at their own birth, and
+        # every kind, so some gram is refused; the full face comes last
+        rng = random.Random(2603)
+        built = 0
+        for k in range(1200):
+            ts = taxa(1 + k % 6)
+            births = [
+                (rng.randint(0, 6) / 2, rng.randint(1, ts.full_mask))
+                for _ in range(rng.randint(0, 12))
+            ]
+            births += births[: rng.randint(0, 2)]
+            births.append((3.0 + rng.randint(0, 1), ts.full_mask))
+            kind = grams.KINDS[k % 3]
+            levels = levels_of_births(births)
+            got = _outcome(lambda: grams._facegram_of_births(ts, births, kind))
+            assert got == _outcome(lambda: gram_by_faceset_levels(ts, levels, kind))
+            if got == "ok":
+                _assert_same_gram(grams._facegram_of_births(ts, births, kind), levels, kind)
+                built += 1
+        assert built >= 600, built
+
+
 class TestPerEventAntichainCheck:
-    """The library's builders and the JSON parser hand ``Gram`` mask lists,
-    and each level is proved an antichain from the faces it changes; the
-    oracle builds a ``FaceSet`` per level, with its full scan, and
-    validates those as the constructor did."""
+    """The library's builders hand ``Gram`` (t, born, dying) events, and
+    the JSON parser mask lists through the sweep's level adapter; each
+    level is proved an antichain from the faces it changes.  The oracle
+    builds a ``FaceSet`` per level, with its full scan, and validates
+    those as the constructor did."""
 
     def test_matches_a_faceset_per_level(self):
         rng = random.Random(1818)
@@ -383,15 +488,17 @@ class TestPerEventAntichainCheck:
             levels = _mask_levels(ts, rng)
             kind = rng.choice(grams.KINDS)
             expect = _outcome(lambda: gram_by_faceset_levels(ts, levels, kind))
-            got = _outcome(lambda: Gram._of_masks(ts, levels, kind))
-            assert got == expect, levels
+            for build in (_by_level_adapter, _by_step):
+                got = _outcome(lambda: build(ts, levels, kind))
+                assert got == expect, (build.__name__, levels)
             if expect == "ok":
                 ref = gram_by_faceset_levels(ts, levels, kind)
-                g = Gram._of_masks(ts, levels, kind)
-                assert g.criticals == ref.criticals
-                assert g.lifespans == ref.lifespans
-                assert g.levels == ref.levels
-                assert gram_json(g) == gram_json_by_dumps(ref)
+                for build in (_by_level_adapter, _by_step):
+                    g = build(ts, levels, kind)
+                    assert g.criticals == ref.criticals
+                    assert g.lifespans == ref.lifespans
+                    assert g.levels == ref.levels
+                    assert gram_json(g) == gram_json_by_dumps(ref)
             if all(0 <= m <= ts.full_mask for _, masks in levels for m in masks):
                 doc = _gram_document(ts, levels, kind)
                 got = _outcome(lambda: parse_gram_json(doc))
@@ -647,7 +754,9 @@ class TestCliquegramFromNetwork:
             if rng.random() < 0.3:
                 net = PhyloNetwork(ts, np.round(net.matrix * 4))
             expect = clique_levels_by_threshold_graphs(net)
-            assert cliquegram_from_network(net).levels == tuple(expect)
+            g = cliquegram_from_network(net)
+            assert g.levels == tuple(expect)
+            _assert_same_gram(g, clique_levels_by_region_sweep(net), "cliquegram")
 
     def test_matches_the_full_enumeration(self):
         # ties from integer rounding put many edges in one value, late
@@ -681,10 +790,10 @@ class TestCliquegramFromNetwork:
             return enumerate_cliques(adj, p, x)
 
         monkeypatch.setattr(grams, "bron_kerbosch", searching)
-        levels, enumerated = grams._clique_levels(net)
-        # the sweep hands its levels over as mask lists
-        levels = [(t, FaceSet(ts, masks)) for t, masks in levels]
-        assert levels == clique_levels_by_full_enumeration(net)
+        events, enumerated = grams._clique_events(net)
+        # the sweep hands its levels over as (t, born, dying) events
+        g = Gram._of_events(ts, events, "cliquegram")
+        assert g.levels == tuple(clique_levels_by_full_enumeration(net))
         a, b, c, d, e = (1 << i for i in range(5))
         assert calls == [
             (a | b | c, d),  # ab and bc share no neighbour
@@ -749,11 +858,13 @@ class TestCliquegramFromNetwork:
         stage, *pairs = record.getMessage().split()
         assert stage == "stage=cliquegram"
         fields = dict(p.split("=") for p in pairs)
-        assert list(fields) == ["taxa", "levels", "faces", "enumerated", "ms"]
+        assert list(fields) == ["taxa", "levels", "faces", "enumerated", "compared", "ms"]
         # levels at 0, 0.5, 1, 2; faces a, b, c, ab, bc, abc; the searches
         # list ab and bc at 1 and abc at 2
         assert (fields["taxa"], fields["levels"], fields["faces"]) == ("3", "4", "6")
         assert fields["enumerated"] == "3"
+        # only the level ab, bc overlaps: each born face against the other
+        assert fields["compared"] == "2"
         assert float(fields["ms"]) >= 0
 
     def test_no_log_line_above_debug(self, caplog, rng):
@@ -976,6 +1087,21 @@ class TestJoin:
         assert stages == ["stage=cliquegram", "stage=join"]
         assert all(r.levelno == logging.DEBUG for r in records)
 
+    def test_clique_join_reports_its_sweeps_comparisons(self, caplog):
+        # parts ab, c and a, bc at 0: the joined network's level at 0 is
+        # the overlapping ab, bc, so the proof compares its two born faces
+        ts = taxa(3)
+        parts = [
+            gram_of(ts, [(0.0, [["a", "b"], ["c"]]), (1.0, [["a", "b", "c"]])], "treegram"),
+            gram_of(ts, [(0.0, [["a"], ["b", "c"]]), (1.0, [["a", "b", "c"]])], "treegram"),
+        ]
+        with caplog.at_level(logging.DEBUG, logger="phylolattice.grams"):
+            join_grams(parts, "cliquegram")
+        lines = [r.getMessage().split() for r in caplog.records if r.name == "phylolattice.grams"]
+        assert [stage for stage, *_ in lines] == ["stage=cliquegram", "stage=join"]
+        compared = [dict(p.split("=") for p in pairs)["compared"] for _, *pairs in lines]
+        assert compared == ["2", "2"]
+
     def test_debug_line(self, caplog):
         ts = taxa(3)
         parts = [
@@ -990,12 +1116,12 @@ class TestJoin:
         stage, *pairs = record.getMessage().split()
         assert stage == "stage=join"
         fields = dict(p.split("=") for p in pairs)
-        assert list(fields) == ["mode", "parts", "events", "levels", "faces", "ms"]
+        assert list(fields) == ["mode", "parts", "events", "levels", "faces", "compared", "ms"]
         # births a, b, ab, c, abc and bc, abc; levels at 0, 0.5, 1, 2 with
-        # faces a, b, bc, ab, abc
-        assert [fields[k] for k in ("mode", "parts", "events", "levels", "faces")] == [
-            "facegram", "2", "7", "4", "5"
-        ]
+        # faces a, b, bc, ab, abc; only ab, born beside bc at 1, is compared
+        assert [
+            fields[k] for k in ("mode", "parts", "events", "levels", "faces", "compared")
+        ] == ["facegram", "2", "7", "4", "5", "1"]
         assert float(fields["ms"]) >= 0
 
     def test_no_log_line_above_debug(self, caplog, rng):

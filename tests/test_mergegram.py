@@ -23,6 +23,7 @@ from phylolattice import (
     join_grams,
     join_mergegram_of_treegrams,
     labeled_mergegram,
+    labeled_mergegram_json,
     labeled_mergegram_of_filtration,
     mergegram,
     mergegram_json,
@@ -128,6 +129,34 @@ class TestLabeledMergegram:
         assert lm.alive_at(1.0) == (0b1,)
         assert lm.alive_at(1.999) == (0b1,)
         assert lm.alive_at(2.0) == ()
+
+    def test_alive_at_refuses_nan(self):
+        lm = LabeledMergegram(taxa(1), {0b1: Interval(1.0, INF)})
+        with pytest.raises(ValueError, match=r"t=nan"):
+            lm.alive_at(math.nan)
+
+    def test_equal_values_serialize_equally(self):
+        # integer and tuple lifespans are stored as float intervals, so the
+        # value equal to the one its gram returns writes the same bytes
+        ts = taxa(2)
+        given = LabeledMergegram(
+            ts, {0b01: Interval(0, 1), 0b10: (0, 1.0), 0b11: (True, INF)}
+        )
+        back = labeled_mergegram(gram_from_labeled_mergegram(given))
+        assert given == back
+        assert labeled_mergegram_json(given) == labeled_mergegram_json(back)
+        assert all(
+            type(iv) is Interval and type(iv.birth) is float and type(iv.death) is float
+            for iv in given.entries.values()
+        )
+
+    @pytest.mark.parametrize("lifespan", [1.0, (0.0,), (0.0, 1.0, 2.0), ("a", 1.0), None])
+    def test_rejects_a_lifespan_that_is_no_pair(self, lifespan):
+        with pytest.raises(ValueError) as err:
+            LabeledMergegram(taxa(2), {0b01: lifespan})
+        assert str(err.value) == (
+            f"lifespan of face ('a',) must be a (birth, death) pair, got {lifespan!r}"
+        )
 
     def test_unlabeled_forgets_faces(self):
         ts = taxa(2)

@@ -79,64 +79,14 @@ class TestFaceReeb:
 
 
 class TestReebValidation:
-    def ok_args(self):
-        ts = taxa(1)
-        return dict(
-            universe=ts,
-            criticals=(0.0,),
-            edge_sets=((0b1,),),
-            vertex_counts=(1,),
-            down_ids=((0,),),
-            up_ids=(None,),
-        )
+    """The refusals are checked by exact message in
+    ``TestAlignedIds.test_refusals``."""
 
     def test_minimal_graph(self):
-        r = ReebGraph(**self.ok_args())
+        r = ReebGraph(taxa(1), (0.0,), ((0b1,),), (1,), ((0,),), (None,))
         assert r.vertex_count == 1
         assert r.finite_edge_count == 0
         assert r.cycle_rank() == 0
-
-    def test_needs_levels(self):
-        a = self.ok_args()
-        a.update(criticals=(), edge_sets=(), vertex_counts=(), down_ids=(), up_ids=())
-        with pytest.raises(ValueError, match="at least one level"):
-            ReebGraph(**a)
-
-    def test_lengths_agree(self):
-        a = self.ok_args()
-        a["vertex_counts"] = (1, 1)
-        with pytest.raises(ValueError, match="disagree"):
-            ReebGraph(**a)
-
-    def test_top_slab_is_single_edge(self):
-        a = self.ok_args()
-        ts = taxa(2)
-        a.update(universe=ts, edge_sets=((0b01, 0b10),), down_ids=((0, 0),))
-        with pytest.raises(ValueError, match="single half-infinite"):
-            ReebGraph(**a)
-
-    def test_down_map_covers_edges(self):
-        a = self.ok_args()
-        a["down_ids"] = ((),)
-        with pytest.raises(ValueError, match="does not cover"):
-            ReebGraph(**a)
-
-    def test_down_map_in_range(self):
-        a = self.ok_args()
-        a["down_ids"] = ((5,),)
-        with pytest.raises(ValueError, match="out of range"):
-            ReebGraph(**a)
-
-    def test_top_up_map_must_be_none(self):
-        a = self.ok_args()
-        a["up_ids"] = ((0,),)
-        with pytest.raises(ValueError, match="no upper endpoint"):
-            ReebGraph(**a)
-
-    def test_criticals_increase(self):
-        ts = taxa(1)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ReebGraph(ts, (1.0, 1.0), ((0b1,), (0b1,)), (1, 1), ((0,), (0,)), ((0,), None))
 
 
 def _two_level_args():

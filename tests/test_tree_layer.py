@@ -201,7 +201,7 @@ class TestLogging:
 # the readers that must take the diagonal and the linkage, never the matrix
 _MATRIX_FREE = {
     "mergegram.py": ("join_mergegram_of_treegrams", "ph0_elder"),
-    "grams.py": ("_tree_levels",),
+    "grams.py": ("_tree_events",),
     "newick.py": ("newick_from_ultranetwork",),
 }
 
